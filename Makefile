@@ -15,12 +15,15 @@ bench:
 bench-timing:
 	pytest benchmarks/ --benchmark-only
 
+# X14: batched store+correlate SQL budget, byte-identical stored events
 bench-ingest:
 	PYTHONPATH=src pytest benchmarks/bench_x14_ingest_throughput.py -s --benchmark-disable
 
+# X16: write-back SQL per enriched event, same-seed determinism
 bench-enrich:
 	PYTHONPATH=src pytest benchmarks/bench_x16_enrich_throughput.py -s --benchmark-disable
 
+# X17: render-cache hit rate, zero-render steady state, same-seed determinism
 bench-share:
 	PYTHONPATH=src pytest benchmarks/bench_x17_share_throughput.py -s --benchmark-disable
 

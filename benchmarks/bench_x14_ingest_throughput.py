@@ -1,23 +1,17 @@
-"""X14: ingest-throughput guard — parallel fetch + batched persistence.
+"""X14: ingest-throughput guard — batched persistence.
 
-The collect→store hot path has three scaling wings (docs/PERFORMANCE.md):
+The collect→store hot path has two batching wings (docs/PERFORMANCE.md):
 
-1. **Concurrent feed fetching** — ``FeedFetcher`` runs feeds on a bounded
-   worker pool; with a realtime transport the wall clock approaches
-   ``max(latency)`` instead of ``sum(latency)``.
-2. **Batched persistence** — ``MispStore.save_events`` writes a whole
+1. **Batched persistence** — ``MispStore.save_events`` writes a whole
    cycle in one transaction via ``executemany``.
-3. **Batched correlation** — ``MispInstance._correlate_batch`` resolves all
+2. **Batched correlation** — ``MispInstance._correlate_batch`` resolves all
    correlatable values with one chunked ``IN (...)`` query.
 
-This bench measures each wing against its serial counterpart and guards the
-win: parallel fetch must be ≥2× faster wall-clock with 8 workers, and the
+This bench measures both against the per-event path and guards the win: the
 batched store+correlate path must issue ≥30% fewer SQL round trips than the
 per-event path — while producing byte-identical stored events and identical
 correlation edges.  CI runs it as a regression gate (``make bench-ingest``).
 """
-
-import time
 
 import pytest
 
@@ -35,74 +29,27 @@ from conftest import print_table
 
 SEED = 14
 FEED_ENTRIES = 30
-LATENCY_RANGE = (0.01, 0.03)
-PARALLEL_WORKERS = 8
-FETCH_SPEEDUP_TARGET = 2.0
 SQL_REDUCTION_TARGET = 0.70  # batched must use <= 70% of per-event statements
 EVENTS = 60
 ATTRS_PER_EVENT = 5
 VALUE_POOL = 80
-ATTEMPTS = 3
 
 
-# -- wing 1: concurrent fetch ---------------------------------------------------
-
-def build_fetch_rig(workers: int, realtime: bool = True):
-    """A fetcher over the standard 12-feed set on a latency-bearing transport."""
+def build_fetch_rig():
+    """A fetcher over the standard 12-feed set on a simulated transport."""
     clock = SimulatedClock()
     pool = IndicatorPool(seed=SEED, size=500)
-    transport = SimulatedTransport(clock=clock, seed=SEED,
-                                   latency_range=LATENCY_RANGE,
-                                   realtime=realtime)
+    transport = SimulatedTransport(clock=clock, seed=SEED)
     descriptors = []
     for generator, name in standard_feed_set(pool, entries=FEED_ENTRIES,
                                              seed=SEED, overlap=0.5):
         descriptor = generator.descriptor(name)
         transport.register_generator(descriptor, generator)
         descriptors.append(descriptor)
-    fetcher = FeedFetcher(transport, clock=clock, workers=workers)
-    return fetcher, descriptors, transport
+    return FeedFetcher(transport, clock=clock), descriptors
 
 
-def timed_fetch(workers: int):
-    fetcher, descriptors, transport = build_fetch_rig(workers)
-    start = time.perf_counter()
-    documents = fetcher.fetch_all(descriptors)
-    elapsed = time.perf_counter() - start
-    return elapsed, documents, transport.stats
-
-
-def test_x14_parallel_fetch_speedup():
-    serial = parallel = None
-    for _attempt in range(ATTEMPTS):
-        serial_time, serial_docs, serial_stats = timed_fetch(1)
-        parallel_time, parallel_docs, parallel_stats = timed_fetch(
-            PARALLEL_WORKERS)
-        speedup = serial_time / parallel_time
-        serial, parallel = serial_time, parallel_time
-        if speedup >= FETCH_SPEEDUP_TARGET:
-            break
-    print_table(
-        f"X14: fetch wall-clock, {len(serial_docs)} feeds, "
-        f"latency {LATENCY_RANGE[0]*1000:.0f}-{LATENCY_RANGE[1]*1000:.0f} ms",
-        "variant / wall time / speedup",
-        [
-            f"serial (1 worker)        {serial * 1000:8.1f} ms  1.00x",
-            f"parallel ({PARALLEL_WORKERS} workers)    "
-            f"{parallel * 1000:8.1f} ms  {speedup:.2f}x",
-        ])
-    # Determinism: the pool changes nothing about what is fetched.
-    assert [d.descriptor.name for d in parallel_docs] == \
-        [d.descriptor.name for d in serial_docs]
-    assert [d.body for d in parallel_docs] == [d.body for d in serial_docs]
-    assert parallel_stats.requests == serial_stats.requests
-    assert parallel_stats.failures == serial_stats.failures
-    assert speedup >= FETCH_SPEEDUP_TARGET, (
-        f"parallel fetch only {speedup:.2f}x faster than serial "
-        f"(target {FETCH_SPEEDUP_TARGET}x) across {ATTEMPTS} attempts")
-
-
-# -- wings 2+3: batched store + correlate ---------------------------------------
+# -- batched store + correlate --------------------------------------------------
 
 def synthetic_cycle(events: int = EVENTS) -> list:
     """One cycle's worth of cIoC-shaped events with heavy value overlap."""
@@ -182,10 +129,9 @@ def test_x14_batched_correlations_match_serial_instance():
     assert batched.store.correlation_count() == serial.store.correlation_count()
 
 
-@pytest.mark.parametrize("workers", [1, PARALLEL_WORKERS])
-def test_bench_x14_fetch(benchmark, workers):
+def test_bench_x14_fetch(benchmark):
     def run():
-        fetcher, descriptors, _transport = build_fetch_rig(workers)
+        fetcher, descriptors = build_fetch_rig()
         return fetcher.fetch_all(descriptors)
 
     documents = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -38,7 +38,6 @@ CYCLES = 10           # rounds run under the fault plan
 RECOVERY_CYCLES = 2   # fault-free rounds after the plan clears
 GROWTH_CYCLES = CYCLES - 1  # bodies stop growing here so stragglers catch up
 TRANSPORT_FAULT_RATE = 0.3
-WORKERS = 4
 ATTEMPTS = 3
 
 
@@ -92,8 +91,7 @@ def build_platform(injector, cycle_box):
             lambda now, i=index: feed_body(i, cycle_box["n"]))
         descriptors.append(descriptor)
     config = PlatformConfig(
-        seed=SEED, fetch_workers=WORKERS,
-        sensor_steps_per_cycle=0, backoff_mode="none",
+        seed=SEED, sensor_steps_per_cycle=0, backoff_mode="none",
         breaker_failure_threshold=2, breaker_cooldown_seconds=0.0,
         fault_injector=injector)
     return ContextAwareOSINTPlatform.build_with_feeds(

@@ -38,9 +38,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         feed_entries=args.entries,
         drop_irrelevant_text=args.drop_irrelevant,
-        fetch_workers=args.fetch_workers,
-        enrich_workers=args.enrich_workers,
-        share_workers=args.share_workers,
         # Built into the wiring (not rewired post-build) so the sharing
         # ledger and the provenance recorder land in the same file.
         store_path=args.store,
@@ -139,10 +136,7 @@ def _cmd_fanout(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .core import ContextAwareOSINTPlatform, PlatformConfig
 
-    config = PlatformConfig(seed=args.seed, feed_entries=args.entries,
-                            fetch_workers=args.fetch_workers,
-                            enrich_workers=args.enrich_workers,
-                            share_workers=args.share_workers)
+    config = PlatformConfig(seed=args.seed, feed_entries=args.entries)
     platform = ContextAwareOSINTPlatform.build_default(config)
     for cycle in range(1, args.cycles + 1):
         report = platform.run_cycle()
@@ -542,15 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="entries per synthetic feed")
     run.add_argument("--drop-irrelevant", action="store_true",
                      help="filter irrelevant news via the NLP classifier")
-    run.add_argument("--fetch-workers", type=int, default=4,
-                     help="worker threads for the feed-fetch stage")
-    run.add_argument("--share-workers", type=int, default=4,
-                     help="worker threads for the sharing fan-out")
     run.add_argument("--share-entities", type=int, default=0,
                      help="register N in-process TAXII partner entities "
                           "and share eIoCs to them each cycle")
-    run.add_argument("--enrich-workers", type=int, default=4,
-                     help="worker threads for the heuristic scoring stage")
     run.add_argument("--store", default=None,
                      help="persist the MISP store to this SQLite file")
     run.add_argument("--compact-every", type=int, default=25,
@@ -586,12 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--seed", type=int, default=7)
     metrics.add_argument("--entries", type=int, default=60,
                          help="entries per synthetic feed")
-    metrics.add_argument("--fetch-workers", type=int, default=4,
-                         help="worker threads for the feed-fetch stage")
-    metrics.add_argument("--share-workers", type=int, default=4,
-                         help="worker threads for the sharing fan-out")
-    metrics.add_argument("--enrich-workers", type=int, default=4,
-                         help="worker threads for the heuristic scoring stage")
     metrics.add_argument("--format", choices=("prometheus", "json", "both"),
                          default="both",
                          help="exposition format(s) to print")

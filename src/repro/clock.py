@@ -98,10 +98,10 @@ class SimulatedClock(Clock):
 class FixedClock(Clock):
     """An immutable clock frozen at one instant.
 
-    Parallel stages hand each worker a :class:`FixedClock` snapshot taken on
-    the coordinating thread, so time-dependent computation (feature ages,
-    attribute timestamps) is independent of how worker threads interleave —
-    even when the platform clock is a ticking :class:`SimulatedClock`.
+    Enrichment scores each event against a :class:`FixedClock` snapshot
+    taken in drain order before scoring starts, so time-dependent
+    computation (feature ages) sees one instant per event — even when the
+    platform clock is a ticking :class:`SimulatedClock`.
     """
 
     def __init__(self, instant: _dt.datetime) -> None:

@@ -132,9 +132,7 @@ class OsintDataCollector:
                 to_fetch = self._scheduler.due_feeds()
             else:
                 to_fetch = self._feeds
-            # fetch_many runs on the fetcher's worker pool (serial when
-            # workers=1) and yields results in descriptor order, so the
-            # report and the scheduler bookkeeping stay deterministic.
+            # fetch_many yields results in descriptor order.
             # Failed/breaker-skipped feeds are NOT marked fetched, so the
             # scheduler keeps them due next cycle.
             for descriptor, document, error in self._fetcher.fetch_many(to_fetch):

@@ -6,14 +6,14 @@ score back onto the stored event "as a new MISP attribute" (§IV-A), plus a
 JSON breakdown attribute so the per-criterion detail the paper's future work
 calls for is already available to the dashboard.
 
-The enrich hot path is parallel and batched (docs/PERFORMANCE.md):
+The enrich hot path is batched (docs/PERFORMANCE.md):
 
 1. **Drain** the feed into an ordered work list and batch-fetch the events
    plus their correlation context in a handful of chunked queries
    (:class:`EnrichmentContextCache`), instead of per-event round trips.
-2. **Score** on a bounded worker pool — scoring is pure (STIX export +
-   heuristic evaluation over prefetched context), so workers never touch
-   the store and any worker count produces identical scores.
+2. **Score** each event in drain order — scoring is pure (STIX export +
+   heuristic evaluation over prefetched context) and does not write the
+   store.
 3. **Write back** through a planner that builds each eIoC fully in memory
    (score/breakdown attributes, galaxy tags, the enriched tag) in drain
    order, then commits the whole cycle via
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -112,9 +111,7 @@ class EnrichmentContextCache:
     enrichment cycle, or storing sighting evidence), call
     :meth:`invalidate` for the touched events — or simply build a fresh
     cache — so a later enrichment of the same event does not reuse stale
-    correlations.  CVE lookups are thread-safe (workers share the cache);
-    the store-backed accessors must stay on the coordinating thread, like
-    the store itself.
+    correlations.
     """
 
     def __init__(self, store: MispStore,
@@ -165,7 +162,7 @@ class EnrichmentContextCache:
             for other in partners:
                 self._infra_flags[other] = other in tagged
 
-    # -- store-backed accessors (coordinating thread only) --------------------
+    # -- store-backed accessors -----------------------------------------------
 
     def get_event(self, uuid: str) -> Optional[MispEvent]:
         """Memoized :meth:`MispStore.get_event`."""
@@ -211,7 +208,7 @@ class EnrichmentContextCache:
                 break
         return frozenset(kinds)
 
-    # -- CVE lookups (thread-safe; workers share the cache) -------------------
+    # -- CVE lookups ----------------------------------------------------------
 
     def cve_record(self, cve_id: str):
         """Memoized :meth:`CveDatabase.get` (None-db and miss both cached)."""
@@ -256,14 +253,10 @@ class EnrichmentContextCache:
 class HeuristicComponent:
     """Subscribes to the MISP feed and enriches incoming cIoCs.
 
-    ``workers`` bounds the thread pool used for the scoring phase; 1 keeps
-    the historical serial behaviour.  Scoring is pure (the store is read
-    only through the prefetched :class:`EnrichmentContextCache` on the
-    coordinating thread, and each task sees a frozen clock snapshot taken
-    in drain order), so results are committed in drain order and are
-    byte-identical for any worker count.  Custom heuristics whose
-    extractors reach into ``context.store`` directly must run with
-    ``workers=1`` — the SQLite connection is single-threaded.
+    Scoring reads the store only through the prefetched
+    :class:`EnrichmentContextCache`, and each event is scored against a
+    frozen clock snapshot taken in drain order; results are committed in
+    drain order.
     """
 
     def __init__(self, misp: MispInstance,
@@ -274,14 +267,11 @@ class HeuristicComponent:
                  clock: Optional[Clock] = None,
                  galaxy_matcher: Optional["GalaxyMatcher"] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 workers: int = 1,
                  tracer: Optional[Tracer] = None,
                  provenance: Optional[ProvenanceRecorder] = None,
                  log: Optional[StructuredLog] = None) -> None:
         from ..misp.galaxy import GalaxyMatcher
 
-        if workers < 1:
-            raise ValueError("workers must be positive")
         self._misp = misp
         self._inventory = inventory
         self._alarm_manager = alarm_manager
@@ -291,7 +281,6 @@ class HeuristicComponent:
         self._galaxies = galaxy_matcher or GalaxyMatcher()
         self._subscriber = ZmqSubscriber(misp.broker)
         self._subscriber.subscribe(TOPIC_EVENT)
-        self._workers = workers
         self._tracer = tracer or Tracer(enabled=False)
         self._provenance = provenance or NULL_RECORDER
         self._log = log or NULL_LOG
@@ -304,14 +293,6 @@ class HeuristicComponent:
             "caop_eiocs_total", "cIoCs enriched into eIoCs")
         self._m_skipped = registry.counter(
             "caop_enrich_skipped_total", "Events ineligible for enrichment")
-        self._m_pool = registry.gauge(
-            "caop_enrich_pool_workers",
-            "Worker threads used by the last enrichment cycle")
-
-    @property
-    def workers(self) -> int:
-        """The configured scoring-pool bound."""
-        return self._workers
 
     def process_pending(self) -> List[EnrichmentResult]:
         """Drain the zmq feed and enrich every eligible cIoC as one batch."""
@@ -355,7 +336,7 @@ class HeuristicComponent:
                 self._misp.store, cve_db=self._cve_db)
         cache.prefetch(order)
 
-        # Phase 1: eligibility (coordinating thread, batched context).
+        # Phase 1: eligibility over the batched context.
         eligible: List[MispEvent] = []
         for uuid in order:
             event = cache.get_event(uuid)
@@ -371,32 +352,21 @@ class HeuristicComponent:
             self.skipped += 1
             self._m_skipped.inc(reason="ineligible")
 
-        # Phase 2: pure scoring, possibly on a worker pool.  Context that
-        # needs the store (source types) and the per-event clock snapshot
-        # are resolved here, in drain order, before any worker runs.
+        # Phase 2: pure scoring.  Every event's source types and clock
+        # snapshot are resolved in drain order before the first one is
+        # scored, so a ticking clock stamps the same instants whatever the
+        # heuristics read from it.
         tasks = [
             (event, cache.source_types_for(event),
-             FixedClock(self._clock.now()), cache)
+             FixedClock(self._clock.now()))
             for event in eligible
         ]
-        pool_size = max(1, min(self._workers, len(tasks)))
-        self._m_pool.set(pool_size)
-        # Captured span context rides into the pool so per-event scoring
-        # spans nest under this cycle's enrich span instead of surfacing
-        # as orphan root traces.
-        parent_span = self._tracer.capture()
-
-        def score_task(task):
-            with self._tracer.attach(parent_span), \
-                    self._tracer.span("score_event"):
-                return self._score_task(*task)
-
-        if pool_size == 1:
-            scored = [score_task(task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = [pool.submit(score_task, task) for task in tasks]
-                scored = [future.result() for future in futures]
+        scored = []
+        for event, source_types, clock in tasks:
+            with self._tracer.span("score_event"):
+                scored.append(self.score_event(
+                    event, source_types=source_types, clock=clock,
+                    cache=cache))
 
         # Phase 3: write-back planner — build each eIoC fully in memory, in
         # drain order, then commit the cycle as one batch.
@@ -420,9 +390,7 @@ class HeuristicComponent:
             self, results: Sequence[EnrichmentResult]) -> None:
         """``enriched-by``/``scored`` lineage + per-event log, in drain order.
 
-        Runs on the coordinating thread after the batch commit, so the
-        recorded order (and the log stream) is identical for any worker
-        count.
+        Runs after the batch commit.
         """
         if not (self._provenance.enabled or self._log.enabled):
             return
@@ -484,13 +452,6 @@ class HeuristicComponent:
             eioc=event,
         )
 
-    def _score_task(self, event: MispEvent, source_types: FrozenSet[str],
-                    clock: Clock, cache: EnrichmentContextCache
-                    ) -> List[Tuple[str, ThreatScoreResult]]:
-        """One worker unit: export to STIX and score every supported object."""
-        return self.score_event(event, source_types=source_types,
-                                clock=clock, cache=cache)
-
     def score_event(self, event: MispEvent,
                     source_types: Optional[FrozenSet[str]] = None,
                     clock: Optional[Clock] = None,
@@ -535,8 +496,3 @@ class HeuristicComponent:
                 results.append(
                     (obj["id"], heuristic.evaluate(context, metrics=self._metrics)))
         return results
-
-    def _source_types_for(self, event: MispEvent) -> FrozenSet[str]:
-        """Back-compat shim: resolve source families with a fresh cache."""
-        cache = EnrichmentContextCache(self._misp.store, cve_db=self._cve_db)
-        return cache.source_types_for(event)

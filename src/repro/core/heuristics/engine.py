@@ -144,13 +144,10 @@ class Heuristic:
 
         Evaluation is pure with respect to this heuristic and the context:
         nothing on the instance mutates, so one heuristic may evaluate many
-        contexts concurrently (the parallel enrichment pool relies on this;
-        extractors that consult ``context.store`` are the one exception —
-        see :class:`~repro.core.HeuristicComponent`).  With a registry
-        attached, the evaluation wall time feeds
-        ``caop_heuristic_eval_seconds{heuristic=...}`` and the resulting
-        threat score feeds the ``caop_threat_score`` distribution (the
-        registry is thread-safe).
+        contexts in any order.  With a registry attached, the evaluation
+        wall time feeds ``caop_heuristic_eval_seconds{heuristic=...}`` and
+        the resulting threat score feeds the ``caop_threat_score``
+        distribution.
         """
         started = time.perf_counter() if metrics is not None else 0.0
         raw: List[FeatureScore] = []

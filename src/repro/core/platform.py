@@ -66,6 +66,12 @@ from .enrich import EnrichmentResult, HeuristicComponent
 from .ioc import ReducedIoc
 from .reduce import RIocGenerator
 
+#: Circuit-breaker state -> component health status (closed reads ok).
+_BREAKER_HEALTH = {
+    BreakerState.OPEN: HEALTH_FAILING,
+    BreakerState.HALF_OPEN: HEALTH_DEGRADED,
+}
+
 
 @dataclass
 class CycleReport:
@@ -130,18 +136,6 @@ class PlatformConfig:
     drop_irrelevant_text: bool = False
     #: Filter known-benign values (public resolvers, RFC1918, top sites).
     use_warninglists: bool = True
-    #: Worker threads for the collector's feed-fetch stage.  The transport's
-    #: per-request RNG keeps results identical to workers=1; see
-    #: docs/PERFORMANCE.md.
-    fetch_workers: int = 4
-    #: Worker threads for the heuristic scoring stage.  Scoring is pure and
-    #: the write-back is committed in drain order, so results are identical
-    #: to workers=1; see docs/PERFORMANCE.md.
-    enrich_workers: int = 4
-    #: Worker threads for the sharing fan-out (one entity per worker slot).
-    #: Payloads are pre-rendered and ledger writes are committed post-drain,
-    #: so any count produces identical ledgers; see docs/SHARING.md.
-    share_workers: int = 4
     #: Transient-failure retries per share transport attempt.
     share_retries: int = 2
     org: str = "CAOP"
@@ -381,7 +375,6 @@ class ContextAwareOSINTPlatform:
             metrics=metrics)
         fetcher = FeedFetcher(
             transport, clock=clock, metrics=metrics,
-            workers=config.fetch_workers,
             retry_policy=RetryPolicy(
                 max_retries=config.fetch_retries,
                 base_delay_seconds=config.retry_base_delay_seconds,
@@ -434,7 +427,6 @@ class ContextAwareOSINTPlatform:
             misp, inventory=inventory,
             alarm_manager=sensors.alarm_manager,
             cve_db=CveDatabase(), clock=clock, metrics=metrics,
-            workers=config.enrich_workers,
             tracer=tracer, provenance=provenance, log=log)
         rioc_generator = RIocGenerator(inventory, clock=clock, metrics=metrics)
         dashboard = DashboardServer(
@@ -446,7 +438,6 @@ class ContextAwareOSINTPlatform:
         from ..sharing import SharingGateway
         gateway = SharingGateway(
             misp,
-            workers=config.share_workers,
             retry_policy=RetryPolicy(
                 max_retries=config.share_retries,
                 base_delay_seconds=config.retry_base_delay_seconds,
@@ -700,27 +691,16 @@ class ContextAwareOSINTPlatform:
         degraded while anything sits quarantined.
         """
         components: List[ComponentHealth] = []
-        if self.breakers is not None:
-            for name, state in sorted(self.breakers.states().items()):
-                if state == BreakerState.OPEN:
-                    status = HEALTH_FAILING
-                elif state == BreakerState.HALF_OPEN:
-                    status = HEALTH_DEGRADED
-                else:
-                    status = HEALTH_OK
+        boards = (("feed", self.breakers),
+                  ("entity", self.gateway.breakers
+                   if self.gateway is not None else None))
+        for prefix, board in boards:
+            if board is None:
+                continue
+            for name, state in sorted(board.states().items()):
                 components.append(ComponentHealth(
-                    component=f"feed:{name}", status=status,
-                    detail=f"breaker {state}"))
-        if self.gateway is not None:
-            for name, state in sorted(self.gateway.breakers.states().items()):
-                if state == BreakerState.OPEN:
-                    status = HEALTH_FAILING
-                elif state == BreakerState.HALF_OPEN:
-                    status = HEALTH_DEGRADED
-                else:
-                    status = HEALTH_OK
-                components.append(ComponentHealth(
-                    component=f"entity:{name}", status=status,
+                    component=f"{prefix}:{name}",
+                    status=_BREAKER_HEALTH.get(state, HEALTH_OK),
                     detail=f"breaker {state}"))
         last = self.history[-1] if self.history else None
         prev = self.history[-2] if len(self.history) > 1 else None

@@ -69,7 +69,6 @@ class FederationNode:
 
     def __init__(self, name: str, backbone: Backbone, topology: Topology,
                  clock: Optional[Clock] = None, *,
-                 workers: int = 2,
                  policy: Optional[SharingPolicy] = None,
                  accept_ceiling: str = Tlp.RED,
                  failure_threshold: int = 3,
@@ -91,7 +90,6 @@ class FederationNode:
         # content, so faulted runs can match the baseline byte-for-byte.
         self.gateway = SharingGateway(
             self.misp, self.policy,
-            workers=workers,
             retry_policy=retry_policy or RetryPolicy(max_retries=1, seed=11),
             breakers=CircuitBreakerBoard(
                 clock=self.clock, failure_threshold=failure_threshold,
@@ -252,7 +250,6 @@ class Federation:
     def __init__(self, topology: Topology, *,
                  backbone: Optional[Backbone] = None,
                  clock: Optional[Clock] = None,
-                 workers: int = 2,
                  metrics: Optional[MetricsRegistry] = None,
                  node_options: Optional[Dict[str, Dict[str, Any]]] = None
                  ) -> None:
@@ -262,7 +259,7 @@ class Federation:
         options = node_options or {}
         self.nodes: Dict[str, FederationNode] = {
             org: FederationNode(org, self.backbone, topology, self.clock,
-                                workers=workers, metrics=metrics,
+                                metrics=metrics,
                                 **options.get(org, {}))
             for org in topology.orgs
         }

@@ -4,12 +4,10 @@ The real platform polls HTTP endpoints; here a :class:`SimulatedTransport`
 maps URLs to generator-backed documents with configurable latency and
 failure injection, so collector retry behaviour is testable offline.
 
-Both the transport and the fetcher are thread-safe: ``FeedFetcher`` can run
-its fetches on a bounded worker pool (``workers > 1``) and the transport
-derives every request's latency/failure draw from a *per-request* seeded RNG
-(keyed on ``(seed, url, request-index)``), so the outcome of each fetch is
-identical no matter how worker threads interleave — parallel and serial runs
-produce the same documents, the same retries and the same failures.
+The transport derives every request's latency/failure draw from a
+*per-request* seeded RNG (keyed on ``(seed, url, request-index)``), so the
+outcome of each fetch depends only on the seed and on how often that URL was
+requested before — not on which other feeds were fetched in between.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import hashlib
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +27,7 @@ from ..errors import (
     PermanentFeedError,
     TransientFeedError,
 )
-from ..obs import MetricsRegistry, NULL_REGISTRY
+from ..obs import MetricsRegistry, NULL_REGISTRY, Tracer
 from ..resilience.breaker import BreakerState, CircuitBreakerBoard
 from ..resilience.retry import RetryPolicy, sleeper_for
 from .generators import FeedGenerator
@@ -49,10 +46,9 @@ class TransportStats:
 class SimulatedTransport:
     """URL -> document source with latency + fault injection.
 
-    ``realtime=True`` makes ``get`` actually sleep the drawn latency, which
-    is what the ingest-throughput benchmark uses to measure the wall-clock
-    win of fetching feeds concurrently.  Tests leave it off so simulated
-    latency stays free.
+    ``realtime=True`` makes ``get`` actually sleep the drawn latency, so a
+    benchmark can charge the cycle its simulated network time.  Tests leave
+    it off so simulated latency stays free.
     """
 
     def __init__(self, clock: Optional[Clock] = None, seed: int = 0,
@@ -73,7 +69,7 @@ class SimulatedTransport:
         self.stats = TransportStats()
         #: Optional :class:`~repro.resilience.FaultInjector` consulted on
         #: every request with the transport's own per-URL request index, so
-        #: scripted transport faults align at any worker count.
+        #: scripted transport faults align with a URL's Nth request.
         self.fault_injector = fault_injector
 
     def register(self, url: str, body_fn: Callable[[_dt.datetime], str]) -> None:
@@ -86,7 +82,7 @@ class SimulatedTransport:
         self.register(descriptor.url, generator.body)
 
     def record_retry(self) -> None:
-        """Count one retried request (called by the fetcher, thread-safe)."""
+        """Count one retried request (called by the fetcher)."""
         with self._lock:
             self.stats.retries += 1
 
@@ -95,8 +91,7 @@ class SimulatedTransport:
 
         The latency and failure draws come from an RNG seeded on
         ``(seed, url, per-url request index)``: the Nth request for a URL
-        behaves the same whether it is issued serially or from a pool
-        thread, which keeps parallel fetching deterministic.
+        behaves the same whatever was requested before it.
         """
         with self._lock:
             index = self._request_counts.get(url, 0)
@@ -136,46 +131,39 @@ class SimulatedTransport:
 class FeedFetcher:
     """Fetches configured feeds through a transport, with disciplined retries.
 
-    ``workers`` bounds the thread pool used by :meth:`fetch_many` /
-    :meth:`fetch_all`; 1 keeps the historical serial behaviour.  Results are
-    always returned in descriptor order regardless of completion order.
-
     Transient failures are retried under a :class:`RetryPolicy` (exponential
     backoff with deterministic per-``(feed, attempt)`` jitter); permanent
     failures (unknown URL, malformed descriptor) abort immediately instead of
     burning attempts.  An optional :class:`CircuitBreakerBoard` trips a
     per-feed breaker after consecutive fetch failures: open feeds are skipped
     (a :class:`BreakerOpenError` result) and half-open feeds get a single
-    probe attempt, so a dead feed stops consuming retries and pool slots.
+    probe attempt, so a dead feed stops consuming retries.
 
-    Backoff never sleeps inside a worker: each fetch *accumulates* its delay
+    Backoff never sleeps between feeds: each fetch *accumulates* its delay
     and :meth:`fetch_many` applies the total once through the sleeper after
-    the pool drains (summed in descriptor order).  Documents therefore carry
-    the same ``fetched_at`` whether the pool has 1 worker or 8, and a
-    :class:`~repro.clock.SimulatedClock` advances by the identical total.
+    the last feed (summed in descriptor order), so a
+    :class:`~repro.clock.SimulatedClock` advances once per cycle, by the
+    cycle total, and no feed's ``fetched_at`` includes another feed's
+    backoff.
     """
 
     def __init__(self, transport: SimulatedTransport, clock: Optional[Clock] = None,
                  max_retries: int = 2,
                  metrics: Optional[MetricsRegistry] = None,
-                 workers: int = 1,
                  retry_policy: Optional[RetryPolicy] = None,
                  breakers: Optional[CircuitBreakerBoard] = None,
                  sleeper=None,
                  tracer=None) -> None:
         if max_retries < 0:
             raise FeedError("max_retries must be non-negative")
-        if workers < 1:
-            raise FeedError("workers must be positive")
         self._transport = transport
         self._clock = clock or SimulatedClock()
-        self._tracer = tracer
+        self._tracer = tracer or Tracer(enabled=False)
         self._retry = retry_policy or RetryPolicy(max_retries=max_retries)
         self._max_retries = self._retry.max_retries
         self._breakers = breakers
         self._sleeper = sleeper if sleeper is not None else \
             sleeper_for("virtual", self._clock)
-        self._workers = workers
         metrics = metrics or NULL_REGISTRY
         self._m_latency = metrics.histogram(
             "caop_feed_fetch_seconds", "Transport latency per successful fetch")
@@ -190,14 +178,6 @@ class FeedFetcher:
         self._m_backoff = metrics.histogram(
             "caop_retry_backoff_seconds",
             "Backoff computed before each retry attempt")
-        self._m_pool = metrics.gauge(
-            "caop_fetch_pool_workers",
-            "Worker threads used by the last fetch_many call")
-
-    @property
-    def workers(self) -> int:
-        """The configured worker-pool bound."""
-        return self._workers
 
     @property
     def breakers(self) -> Optional[CircuitBreakerBoard]:
@@ -209,7 +189,7 @@ class FeedFetcher:
         """One guarded fetch: (document, error, accumulated backoff seconds).
 
         Never sleeps — the caller applies the returned backoff through the
-        sleeper so worker threads cannot race on the clock.
+        sleeper, once per call or cycle.
         """
         breaker = self._breakers.breaker(descriptor.name) \
             if self._breakers is not None else None
@@ -263,49 +243,25 @@ class FeedFetcher:
         assert document is not None
         return document
 
-    def fetch_many(self, descriptors: Sequence[FeedDescriptor],
-                   workers: Optional[int] = None
+    def fetch_many(self, descriptors: Sequence[FeedDescriptor]
                    ) -> List[Tuple[FeedDescriptor, Optional[FeedDocument],
                                    Optional[FeedError]]]:
-        """Fetch every feed, possibly concurrently.
+        """Fetch every feed, in order.
 
         Returns ``(descriptor, document, error)`` triples in *descriptor
-        order* — exactly one of document/error is set per feed.  Retries
-        stay sequential within a feed (inside one worker), so per-feed
-        behaviour matches the serial path request for request.  The cycle's
-        total retry backoff is applied once, after the pool drains, summed
-        in descriptor order — identical for any worker count.
+        order* — exactly one of document/error is set per feed.  The cycle's
+        total retry backoff is applied once, after the last feed, summed in
+        descriptor order.
         """
-        descriptors = list(descriptors)
-        if not descriptors:
-            return []
-        pool_size = workers if workers is not None else self._workers
-        pool_size = max(1, min(pool_size, len(descriptors)))
-        self._m_pool.set(pool_size)
-        fetch_task = self._fetch_once
-        if self._tracer is not None:
-            # Reattach the caller's span context inside pool threads so
-            # per-feed spans nest under the cycle's fetch span instead of
-            # becoming orphan root traces (the thread-local stack does not
-            # cross the pool boundary by itself).
-            parent = self._tracer.capture()
-
-            def fetch_task(descriptor):
-                with self._tracer.attach(parent), \
-                        self._tracer.span("fetch_feed", feed=descriptor.name):
-                    return self._fetch_once(descriptor)
-        if pool_size == 1:
-            results = [fetch_task(descriptor)
-                       for descriptor in descriptors]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = [pool.submit(fetch_task, descriptor)
-                           for descriptor in descriptors]
-                results = [future.result() for future in futures]
-        self._sleeper.sleep(sum(backoff for _doc, _err, backoff in results))
-        return [(descriptor, document, error)
-                for descriptor, (document, error, _backoff)
-                in zip(descriptors, results)]
+        results = []
+        backoff = 0.0
+        for descriptor in descriptors:
+            with self._tracer.span("fetch_feed", feed=descriptor.name):
+                document, error, delay = self._fetch_once(descriptor)
+            results.append((descriptor, document, error))
+            backoff += delay
+        self._sleeper.sleep(backoff)
+        return results
 
     def fetch_all(self, descriptors: List[FeedDescriptor],
                   skip_failed: bool = True) -> List[FeedDocument]:

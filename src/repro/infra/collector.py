@@ -120,8 +120,7 @@ class InfrastructureDataCollector:
         for attribute in attributes:
             event.add_attribute(attribute)
         # Content-derived ids keep infrastructure events identical across
-        # runs (and across fetch-pool sizes), which the chaos-recovery
-        # parity checks rely on.
+        # runs, which the chaos-recovery parity checks rely on.
         event.uuid = content_uuid(
             "infra-event", event.timestamp.isoformat(),
             *sorted(f"{a.type}:{a.value}:{a.comment}" for a in attributes))

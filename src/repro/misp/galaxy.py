@@ -153,8 +153,8 @@ class GalaxyMatcher:
     def scan_event(self, event: MispEvent) -> List[GalaxyCluster]:
         """All clusters an event's text mentions (pure: no mutation).
 
-        Reads the info line plus every attribute value and comment.  Safe to
-        call from worker threads — tagging is the separate, mutating step.
+        Reads the info line plus every attribute value and comment; tagging
+        is the separate, mutating step.
         """
         text = event.info + " " + " ".join(
             attribute.value + " " + attribute.comment

@@ -70,7 +70,7 @@ def shard_of(event_uuid: str, shard_count: int) -> int:
 
     Uses a sha256 prefix rather than ``hash()`` so placement is identical
     across processes, python versions and ``PYTHONHASHSEED`` values — the
-    same discipline the retry-jitter and worker-pool RNGs follow.
+    same discipline the retry-jitter and transport RNGs follow.
     """
     if shard_count <= 1:
         return 0

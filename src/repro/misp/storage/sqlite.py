@@ -139,9 +139,8 @@ class CountingConnection:
 
     The counter feeds ``MispStore.sql_statements`` so the SQL-budget benches
     keep working across backends.  ``check_same_thread=False`` because the
-    sharing fan-out hands remote stores to worker threads (serialized behind
-    the gateway's transport lock) and the sharded backend commits worker
-    transactions from its coordinating thread.
+    sharded backend commits worker transactions from its coordinating
+    thread.
     """
 
     def __init__(self, path: str, cache_pages: Optional[int] = None) -> None:

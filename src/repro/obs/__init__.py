@@ -8,7 +8,7 @@ architecture.  On top of that substrate sit three subsystems (PR 6):
 - :mod:`repro.obs.provenance` — stable per-IoC trace ids and typed
   lineage events, persisted in the store and stitched cross-org;
 - :mod:`repro.obs.log` — structured JSON logging with deterministic
-  emission order across any worker count;
+  emission order;
 - :mod:`repro.obs.slo` / :mod:`repro.obs.timeseries` — per-cycle metric
   snapshots and declarative SLO rules evaluated with fast/slow burn-rate
   windows.

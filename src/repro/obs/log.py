@@ -7,14 +7,13 @@ adds (``trace_id``, ``event_uuid``, counts, scores).  Records land on a
 bounded ring buffer (:class:`StructuredLog`) and, optionally, a JSONL
 file sink.
 
-Determinism contract (docs/OBSERVABILITY.md): log emission follows the
-same discipline as metrics and sync ledger writes in PRs 2/4/5 — worker
-pools never emit directly.  Coordinating threads emit over drain-ordered
-results, and code that *must* log from inside a pool task writes into a
-per-task :class:`LogBuffer` that the coordinator flushes post-drain in
-registration order, assigning ``seq`` and ``ts`` at flush time.  The
-result: ``fetch_workers``/``enrich_workers``/``share_workers`` of 1 or 4
-produce byte-identical ``to_jsonl()`` output.
+Determinism contract (docs/OBSERVABILITY.md): stages emit over
+drain-ordered results, so the same seed produces a byte-identical
+``to_jsonl()``.  Code whose records belong *after* a later commit step
+(the sharing gateway stages each entity's share results until that
+entity's retry backoff has advanced the clock) writes into a
+:class:`LogBuffer` that is flushed at commit time, assigning ``seq`` and
+``ts`` then.
 
 :data:`LOG_RECORD_SCHEMA` is a JSON-Schema subset describing every
 record; :func:`validate_record` checks it without external dependencies.
@@ -97,12 +96,10 @@ def validate_record(record: Any) -> List[str]:
 
 
 class LogBuffer:
-    """Per-task log staging for worker-pool code.
+    """Staged log records, emitted later by :meth:`StructuredLog.flush_buffer`.
 
-    A pool task emits into its buffer; the coordinating thread flushes
-    buffers post-drain in registration order via
-    :meth:`StructuredLog.flush_buffer`, which assigns ``seq``/``ts`` then
-    — so record order never depends on pool scheduling.
+    The flush assigns ``seq``/``ts``, so staged records are stamped at the
+    point where they are committed, not where they were produced.
     """
 
     def __init__(self, log: "StructuredLog") -> None:
@@ -111,7 +108,7 @@ class LogBuffer:
 
     def emit(self, stage: str, event: str, level: str = "info",
              **fields: Any) -> None:
-        """Stage one record for the coordinator to flush."""
+        """Stage one record for a later flush."""
         if not self._log.enabled:
             return
         self.entries.append((stage, event, level, fields))
@@ -165,11 +162,11 @@ class StructuredLog:
         return record
 
     def buffer(self) -> LogBuffer:
-        """A fresh per-task staging buffer (see :class:`LogBuffer`)."""
+        """A fresh staging buffer (see :class:`LogBuffer`)."""
         return LogBuffer(self)
 
     def flush_buffer(self, buffer: LogBuffer) -> int:
-        """Emit a task buffer's staged records, in their staged order."""
+        """Emit a buffer's staged records, in their staged order."""
         for stage, event, level, fields in buffer.entries:
             self.emit(stage, event, level, **fields)
         count = len(buffer.entries)

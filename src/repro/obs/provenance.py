@@ -14,9 +14,9 @@ typed **lineage events** (:data:`LINEAGE_KINDS`) at each pipeline seam:
 - ``synced-from`` — written into the *receiving* store when a MISP push
   carries trace context, with the org path accumulated hop by hop.
 
-Rows are buffered in a :class:`ProvenanceRecorder` on the coordinating
-thread (worker pools never write provenance directly — the same
-determinism discipline as metrics and logs) and flushed once per cycle
+Rows are buffered in a :class:`ProvenanceRecorder` over drain-ordered
+results (the same determinism discipline as metrics and logs) and flushed
+once per cycle
 into the :class:`~repro.misp.MispStore` ``provenance`` table with a single
 ``executemany``.  :func:`stitch_lineage` then reassembles the cross-org
 journey of one event from any number of stores, and
@@ -83,10 +83,9 @@ class ProvenanceEvent:
 class ProvenanceRecorder:
     """Buffers lineage rows per cycle; one ``executemany`` flush per flush.
 
-    ``record`` is only called from coordinating threads over drain-ordered
-    results, so the buffered row order — and therefore the persisted
-    ``seq`` order — is identical for any worker count.  The lock is purely
-    defensive.
+    ``record`` is only called over drain-ordered results, so the buffered
+    row order — and therefore the persisted ``seq`` order — is identical
+    for the same seed.  The lock is purely defensive.
     """
 
     def __init__(self, store: Any = None, clock: Any = None,

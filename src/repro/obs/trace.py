@@ -89,7 +89,6 @@ class Tracer:
         self.enabled = enabled
         self.traces: Deque[Span] = deque(maxlen=max_traces)
         self._local = threading.local()
-        self._attach_lock = threading.Lock()
         self._metrics = metrics
         self._span_hist = (
             metrics.histogram(SPAN_METRIC, "Duration of pipeline stage spans")
@@ -129,51 +128,11 @@ class Tracer:
             span.finish()
             stack.pop()
             if stack:
-                # Pool threads attached to the same parent append
-                # concurrently; the lock keeps the children list intact
-                # (ordering there reflects completion and is timing data,
-                # not part of any determinism contract).
-                with self._attach_lock:
-                    stack[-1].children.append(span)
+                stack[-1].children.append(span)
             else:
                 self.traces.append(span)
             if self._span_hist is not None:
                 self._span_hist.observe(span.duration_seconds, span=span.name)
-
-    def capture(self) -> Optional[Span]:
-        """The current span, for reattachment inside a worker-pool task.
-
-        The span stack is thread-local, so a span opened inside a pool
-        thread would otherwise become an orphan root trace instead of
-        nesting under the cycle that spawned the work.  The coordinating
-        thread calls ``capture()`` before submitting tasks and each task
-        wraps its body in :meth:`attach`::
-
-            parent = tracer.capture()
-            def task(item):
-                with tracer.attach(parent), tracer.span("score_event"):
-                    ...
-        """
-        return self.current()
-
-    @contextmanager
-    def attach(self, parent: Optional[Span]) -> Iterator[None]:
-        """Run the body with ``parent`` as this thread's span context.
-
-        Spans opened inside the body become children of ``parent``; the
-        thread's previous span stack is restored on exit.  A ``None``
-        parent (tracing disabled, or no span open at capture time) leaves
-        the thread's context untouched.
-        """
-        if not self.enabled or parent is None:
-            yield
-            return
-        saved = getattr(self._local, "stack", None)
-        self._local.stack = [parent]
-        try:
-            yield
-        finally:
-            self._local.stack = saved if saved is not None else []
 
     def last_trace(self) -> Optional[Span]:
         """The most recently completed root span."""

@@ -261,7 +261,7 @@ class FaultInjector:
         ``index`` defaults to an internal per-(component, key) counter;
         seams that already track a deterministic invocation index (the
         transport's per-URL request counter) pass their own so the plan
-        aligns with the seam's native numbering at any worker count.
+        aligns with the seam's native numbering.
         """
         with self._lock:
             if index is None:

@@ -5,8 +5,8 @@ policy *computes* each delay (a pure function of ``(key, attempt)``) and a
 pluggable sleeper applies the accumulated total, either by advancing a
 :class:`~repro.clock.SimulatedClock`, by really sleeping (wall-clock
 benches), or by merely recording it.  Because the delay draw is keyed on
-the feed and attempt number, not on thread interleaving, the backoff
-schedule is identical for any fetch-pool size.
+the feed and attempt number, the backoff schedule is identical for the
+same seed.
 """
 
 from __future__ import annotations

@@ -19,10 +19,8 @@ Two share paths exist:
   over the store's audit cursor (per-entity watermark + content-digest
   ledger in :class:`~repro.misp.MispStore`), payloads rendered once per
   cycle through a :class:`~repro.sharing.sync.RenderCache`, and the
-  per-entity fan-out run on a bounded thread pool with circuit breakers,
-  deterministic retry backoff and dead-letter quarantine.  Any worker count
-  produces byte-identical records, remote stores, digests and watermarks
-  (docs/SHARING.md).
+  per-entity fan-out run in registration order with circuit breakers,
+  deterministic retry backoff and dead-letter quarantine (docs/SHARING.md).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -126,7 +123,7 @@ class SharingRecord:
 
 @dataclass
 class _EntityOutcome:
-    """What one entity's fan-out worker produced (merged post-drain)."""
+    """What one entity's share sequence produced (committed after all run)."""
 
     records: List[SharingRecord] = field(default_factory=list)
     #: uuid -> ledger entry (raw digest for ok, marker for terminal non-ok).
@@ -152,15 +149,13 @@ class SharingGateway:
     share is checked against the event's TLP marking and the entity's
     clearance before any transport is invoked.
 
-    ``workers`` bounds the fan-out pool used by :meth:`sync_cycle`; 1 keeps
-    the serial behaviour.  ``retry_policy`` governs transient transport
-    retries (none by default), ``breakers`` trips a per-entity circuit after
-    consecutive transport failures, and ``deadletters`` quarantines shares
-    that exhaust their retries for a later ``replay``.
+    ``retry_policy`` governs transient transport retries (none by default),
+    ``breakers`` trips a per-entity circuit after consecutive transport
+    failures, and ``deadletters`` quarantines shares that exhaust their
+    retries for a later ``replay``.
     """
 
     def __init__(self, local_misp: MispInstance, policy=None, *,
-                 workers: int = 1,
                  retry_policy: Optional[RetryPolicy] = None,
                  breakers: Optional[CircuitBreakerBoard] = None,
                  deadletters=None,
@@ -172,15 +167,12 @@ class SharingGateway:
                  tracer: Optional[Tracer] = None,
                  provenance: Optional[ProvenanceRecorder] = None,
                  log: Optional[StructuredLog] = None) -> None:
-        if workers < 1:
-            raise SharingError("workers must be positive")
         self._misp = local_misp
         self._tracer = tracer or Tracer(enabled=False)
         self._provenance = provenance or NULL_RECORDER
         self._log = log or NULL_LOG
         self._entities: List[ExternalEntity] = []
         self._policy = policy
-        self._workers = workers
         self._retry = retry_policy
         self._clock = clock or SimulatedClock()
         self.breakers = breakers if breakers is not None else \
@@ -197,9 +189,6 @@ class SharingGateway:
         #: safe across threads only when accesses never overlap).
         self._transport_lock = threading.Lock()
         self._metrics = metrics or NULL_REGISTRY
-        self._m_pool = self._metrics.gauge(
-            "caop_share_pool_workers",
-            "Worker threads used by the last sync_cycle fan-out")
         self._m_batch = self._metrics.histogram(
             "caop_share_batch_size",
             "Events actually shared per entity per sync cycle",
@@ -240,11 +229,6 @@ class SharingGateway:
         """The registered external entities."""
         return list(self._entities)
 
-    @property
-    def workers(self) -> int:
-        """The configured fan-out pool bound."""
-        return self._workers
-
     def entity(self, name: str) -> ExternalEntity:
         """Look one registered entity up by name."""
         for candidate in self._entities:
@@ -282,8 +266,8 @@ class SharingGateway:
                      ) -> Optional[Dict[str, Any]]:
         """Trace context to ride alongside a MISP push (None otherwise).
 
-        Reads the local provenance table, so it must run on the coordinating
-        thread (plan time), never inside a fan-out worker.
+        Reads the local provenance table, so :meth:`sync_cycle` resolves it
+        at plan time, before any transport runs.
         """
         if entity.transport not in ("misp", "backbone") or \
                 not self._provenance.enabled:
@@ -384,11 +368,11 @@ class SharingGateway:
     def plan_cycle(self) -> Tuple[List[EntityCycle], RenderCache, int]:
         """Build every entity's delta plan and pre-render the payloads.
 
-        Runs entirely on the calling thread (all local-store reads happen
-        here): scans each entity's candidates from its watermark up to the
-        store's current audit cursor, drops digest-unchanged candidates,
-        applies the sharing policy, and renders each needed payload once
-        through the returned :class:`RenderCache`.
+        All local-store reads of a sync cycle happen here: scans each
+        entity's candidates from its watermark up to the store's current
+        audit cursor, drops digest-unchanged candidates, applies the sharing
+        policy, and renders each needed payload once through the returned
+        :class:`RenderCache`.
         """
         target_seq = self.ledger.cursor()
         cache = RenderCache(self._metrics)
@@ -439,39 +423,23 @@ class SharingGateway:
     def sync_cycle(self) -> ShareCycleReport:
         """One incremental share fan-out across every registered entity.
 
-        Deterministic for any ``workers`` count: plans and payloads are
-        built serially up front, each entity's shares run serially inside
-        one worker, and all ledger/audit/quarantine writes are committed
-        after the pool drains, in entity registration order.
+        Plans and payloads are built up front, each entity's shares run in
+        registration order, and all ledger/audit/quarantine writes are
+        committed after every entity has run, again in registration order.
         """
         report = ShareCycleReport(entities=len(self._entities))
         if not self._entities:
             return report
         plans, cache, _target = self.plan_cycle()
-        pool_size = max(1, min(self._workers, len(plans)))
-        self._m_pool.set(pool_size)
-        # One log buffer per entity: workers stage records thread-locally,
-        # the post-drain commit flushes them in registration order, so the
-        # structured log is byte-identical at any worker count.
+        # Each entity's log records are staged and emitted at commit time,
+        # after that entity's retry backoff has been applied to the clock.
         buffers = [self._log.buffer() for _ in plans]
-        parent_span = self._tracer.capture()
-
-        def run_entity(plan: EntityCycle, buffer: LogBuffer) -> _EntityOutcome:
-            with self._tracer.attach(parent_span), \
-                    self._tracer.span("share_entity", entity=plan.entity.name):
-                return self._run_entity_cycle(plan, buffer)
-
-        if pool_size == 1:
-            outcomes = [run_entity(plan, buffer)
-                        for plan, buffer in zip(plans, buffers)]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = [pool.submit(run_entity, plan, buffer)
-                           for plan, buffer in zip(plans, buffers)]
-                outcomes = [future.result() for future in futures]
-        # Post-drain commit, serial and in registration order: backoff,
-        # audit records, log records, lineage, ledger updates, quarantine,
-        # telemetry.
+        outcomes = []
+        for plan, buffer in zip(plans, buffers):
+            with self._tracer.span("share_entity", entity=plan.entity.name):
+                outcomes.append(self._run_entity_cycle(plan, buffer))
+        # Commit in registration order: backoff, audit records, log
+        # records, lineage, ledger updates, quarantine, telemetry.
         for plan, outcome, buffer in zip(plans, outcomes, buffers):
             entity = plan.entity
             self._sleeper.sleep(outcome.backoff)
@@ -518,12 +486,11 @@ class SharingGateway:
     def _run_entity_cycle(self, plan: EntityCycle,
                           buffer: Optional[LogBuffer] = None
                           ) -> _EntityOutcome:
-        """One entity's serial share sequence (runs inside a pool worker).
+        """One entity's share sequence.
 
-        Touches only the entity's transport (and thread-safe shared
-        machinery: breaker, metrics counters); every local-store write is
-        deferred to the post-drain commit.  Log records are staged into
-        ``buffer`` (flushed post-drain, in registration order).
+        Touches only the entity's transport (and the breaker and metrics
+        counters); every local-store write is deferred to the commit in
+        :meth:`sync_cycle`.  Log records are staged into ``buffer``.
         """
         outcome = _EntityOutcome()
         entity = plan.entity
@@ -636,8 +603,6 @@ class SharingGateway:
         breaker = self.breakers.breaker(entity.name)
         if not breaker.allow():
             return False
-        # replay runs on the coordinating thread, so reading the local
-        # provenance table for the trace context is safe here.
         trace = self._share_trace(entity, event.uuid)
         try:
             ok, detail, sent_bytes = self._transport_push(

@@ -19,8 +19,8 @@ the same shape over the local store:
 - :class:`ShareCycleReport` — what one ``sync_cycle`` accomplished.
 
 Determinism contract (docs/SHARING.md): candidates are ordered by their last
-audit change, payloads are pre-rendered serially, and ledger writes happen
-after the fan-out pool drains — so any ``share_workers`` count produces
+audit change, payloads are pre-rendered up front, and ledger writes happen
+after every entity's shares have run — so the same seed produces
 byte-identical records, remote stores, digests and watermarks.
 """
 
@@ -152,9 +152,9 @@ class RenderCache:
 class SyncLedger:
     """Per-entity watermark + digest ledger over a :class:`MispStore`.
 
-    All reads and writes go through the local store on the calling thread;
-    the gateway reads the ledger before the fan-out and commits updates
-    after the pool drains, in entity registration order.
+    All reads and writes go through the local store; the gateway reads the
+    ledger before the fan-out and commits updates after every entity has
+    run, in entity registration order.
     """
 
     def __init__(self, store: MispStore) -> None:
@@ -224,7 +224,7 @@ class PlannedShare:
     payload: Optional[RenderedPayload] = None
     detail: str = ""
     #: Provenance trace context (``{"trace_id", "path"}``) computed at plan
-    #: time on the coordinating thread; rides *alongside* the payload so the
+    #: time; rides *alongside* the payload so the
     #: shared content (and its digest) never changes.
     trace: Optional[Dict[str, Any]] = None
 

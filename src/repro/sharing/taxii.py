@@ -57,9 +57,8 @@ class TaxiiServer:
         self._collections: Dict[str, TaxiiCollection] = {}
         self._clock = clock or SimulatedClock()
         self.requests_served = 0
-        #: Serializes object writes — sharing gateways may push from
-        #: worker threads (each gateway holds its own transport lock, but
-        #: several gateways can target one server).
+        #: Serializes object writes (several gateways can target one
+        #: server).
         self._write_lock = threading.Lock()
 
     # -- server management -----------------------------------------------------

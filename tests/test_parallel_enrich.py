@@ -1,4 +1,4 @@
-"""Parallel enrichment: determinism, context cache, batched write-back."""
+"""Batched enrichment: drain order, context cache, batched write-back."""
 
 import json
 
@@ -18,7 +18,6 @@ from repro.ids import IdGenerator
 from repro.infra import INFRASTRUCTURE_TAG, paper_inventory
 from repro.misp import MispAttribute, MispEvent, MispInstance
 
-WORKER_COUNTS = (1, 4, 8)
 WORKLOAD_EVENTS = 12
 
 
@@ -49,12 +48,12 @@ def build_workload(misp, seed=42, events=WORKLOAD_EVENTS):
     return uuids
 
 
-def enriched_state(workers, seed=42):
-    """Run the workload through a component with N workers; export state."""
+def enriched_state(seed=42):
+    """Run the workload through a fresh component; export state."""
     misp = MispInstance(org="TestOrg")
     clock = SimulatedClock(PAPER_NOW)
     component = HeuristicComponent(
-        misp, inventory=paper_inventory(), clock=clock, workers=workers)
+        misp, inventory=paper_inventory(), clock=clock)
     build_workload(misp, seed=seed)
     results = component.process_pending()
     exports = [
@@ -67,47 +66,24 @@ def enriched_state(workers, seed=42):
 
 
 class TestWorkerCountDeterminism:
-    def test_exports_byte_identical_across_worker_counts(self):
-        baseline_results, baseline_exports, baseline_scores = enriched_state(1)
-        assert baseline_results  # the workload must actually enrich
-        for workers in WORKER_COUNTS[1:]:
-            results, exports, scores = enriched_state(workers)
-            assert exports == baseline_exports
-            assert scores == baseline_scores
-
     def test_results_come_back_in_drain_order(self):
         misp = MispInstance(org="TestOrg")
         component = HeuristicComponent(
             misp, inventory=paper_inventory(),
-            clock=SimulatedClock(PAPER_NOW), workers=8)
+            clock=SimulatedClock(PAPER_NOW))
         uuids = build_workload(misp)
         results = component.process_pending()
         enriched = [r.event_uuid for r in results]
         assert enriched == [u for u in uuids if u in set(enriched)]
 
-    def test_pool_gauge_reflects_bounded_workers(self, misp, inventory, clock):
-        from repro.obs import MetricsRegistry
-        metrics = MetricsRegistry()
-        component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, metrics=metrics,
-            workers=8)
-        build_workload(misp, events=3)
-        component.process_pending()
-        # Three eligible events bound the pool below the configured 8.
-        assert metrics.gauge("caop_enrich_pool_workers").value() == 3
-
-    def test_rejects_non_positive_workers(self, misp):
-        with pytest.raises(ValueError):
-            HeuristicComponent(misp, workers=0)
-
     def test_galaxy_tags_survive_the_batched_path(self):
-        _results, exports, _scores = enriched_state(4)
+        _results, exports, _scores = enriched_state()
         tagged = [blob for blob in exports if "misp-galaxy:threat-actor" in blob]
         assert tagged  # the Sofacy comments must produce galaxy tags
 
     def test_duplicate_drain_entries_enrich_once(self, misp, inventory, clock):
         component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, workers=4)
+            misp, inventory=inventory, clock=clock)
         event = MispEvent(info="osint report")
         event.add_attribute(MispAttribute(type="domain", value="evil.example"))
         misp.add_event(event)
@@ -123,7 +99,7 @@ class TestWorkerCountDeterminism:
 class TestSqlBudget:
     def test_statements_per_event_bounded(self, misp, inventory, clock):
         component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, workers=4)
+            misp, inventory=inventory, clock=clock)
         build_workload(misp)
         baseline = misp.store.sql_statements
         results = component.process_pending()
@@ -166,7 +142,7 @@ class TestContextCache:
         # the new correlation (no stale cache snapshot) and lift the
         # source-diversity feature.
         component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, workers=4)
+            misp, inventory=inventory, clock=clock)
         cioc = MispEvent(info="osint report")
         cioc.add_attribute(MispAttribute(type="domain", value="evil.example"))
         misp.add_event(cioc)
@@ -241,7 +217,7 @@ class TestStoreBatchApi:
         misp = MispInstance(org="TestOrg", metrics=metrics)
         component = HeuristicComponent(
             misp, inventory=paper_inventory(),
-            clock=SimulatedClock(PAPER_NOW), metrics=metrics, workers=4)
+            clock=SimulatedClock(PAPER_NOW), metrics=metrics)
         build_workload(misp, events=4)
         results = component.process_pending()
         histogram = metrics.histogram("caop_enrich_batch_size")
@@ -255,16 +231,15 @@ class TestFixedClock:
         assert frozen.now() == frozen.now() == PAPER_NOW
 
     def test_ticking_platform_clock_stays_deterministic(self):
-        # Even with a ticking clock, snapshots are taken in drain order on
-        # the coordinating thread, so worker count cannot change timestamps.
+        # Even with a ticking clock, snapshots are taken in drain order, so
+        # the same workload stamps the same timestamps every run.
         import datetime as dt
 
-        def run(workers):
+        def run():
             misp = MispInstance(org="TestOrg")
             clock = SimulatedClock(PAPER_NOW, tick=dt.timedelta(seconds=1))
             component = HeuristicComponent(
-                misp, inventory=paper_inventory(), clock=clock,
-                workers=workers)
+                misp, inventory=paper_inventory(), clock=clock)
             build_workload(misp, events=6)
             return [
                 json.dumps(misp.store.get_event(r.event_uuid).to_dict(),
@@ -272,4 +247,6 @@ class TestFixedClock:
                 for r in component.process_pending()
             ]
 
-        assert run(1) == run(8)
+        first = run()
+        assert first  # the workload must actually enrich
+        assert first == run()

