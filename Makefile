@@ -1,4 +1,4 @@
-.PHONY: install test coverage bench bench-timing bench-ingest bench-enrich bench-share bench-trace bench-store bench-idle bench-federation bench-fanout chaos examples metrics-demo obs-demo lint-metrics verify clean
+.PHONY: install test coverage bench bench-timing bench-ingest bench-enrich bench-share bench-trace bench-store bench-idle bench-federation bench-fanout caopbench-selftest chaos examples metrics-demo obs-demo lint-metrics verify clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -41,6 +41,10 @@ bench-federation:
 
 bench-fanout:
 	PYTHONPATH=src pytest benchmarks/bench_x20_fanout.py -s --benchmark-disable
+
+# CAOP benchmark self-test: toy sizes of all three workloads against the store
+caopbench-selftest:
+	python3 -m pytest caopbench -q
 
 chaos:
 	PYTHONPATH=src pytest tests/test_resilience.py tests/test_chaos.py tests/test_federation_backbone.py benchmarks/bench_x15_chaos_recovery.py benchmarks/bench_x23_federation.py -s --benchmark-disable

@@ -157,8 +157,8 @@ class PlatformConfig:
     #: Built here — not rewired post-build — so the sharing ledger and the
     #: provenance recorder point at the same persistent store.
     store_path: Optional[str] = None
-    #: Hash-shard count for the MISP store (``1`` = classic single file;
-    #: ``>= 2`` selects the sharded backend — see docs/PERFORMANCE.md).
+    #: Hash-shard count of the SQLite MISP store (``1`` = one file; ``>= 2``
+    #: = a catalog plus that many shard files — see docs/PERFORMANCE.md).
     store_shards: int = 1
     #: Transient-failure retries per feed fetch (and per store batch).
     fetch_retries: int = 2

@@ -36,7 +36,6 @@ from .model import (
 from .storage import (
     InMemoryBackend,
     SQLiteBackend,
-    ShardedSQLiteBackend,
     StorageBackend,
     shard_of,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "InMemoryBackend",
     "MispStore",
     "SQLiteBackend",
-    "ShardedSQLiteBackend",
     "StorageBackend",
     "StoreChange",
     "shard_of",

@@ -18,7 +18,7 @@ from ..clock import Clock
 from ..errors import SharingError, StorageError, TransientStorageError
 from ..ids import IdGenerator
 from ..obs import MetricsRegistry, NULL_REGISTRY
-from .export import EXPORT_MODULES, to_stix2_bundle
+from .export import EXPORT_MODULES
 from .model import Distribution, MispAttribute, MispEvent, MispTag
 from .sharing_groups import SharingGroup
 from .store import MispStore
@@ -255,13 +255,6 @@ class MispInstance:
         if module is None:
             raise SharingError(f"no export module for format {export_format!r}")
         return module(event)
-
-    def export_stix2(self, event_uuid: str):
-        """Typed STIX 2.0 bundle export (what the heuristic component reads)."""
-        event = self.store.get_event(event_uuid)
-        if event is None:
-            raise StorageError(f"no such event {event_uuid}")
-        return to_stix2_bundle(event)
 
     # -- instance-to-instance sync ---------------------------------------------------
 

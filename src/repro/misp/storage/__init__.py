@@ -15,8 +15,7 @@ from .base import (
     shard_of,
 )
 from .memory import InMemoryBackend
-from .sharded import ShardedSQLiteBackend, shard_path
-from .sqlite import SQLiteBackend, detect_shard_count
+from .sqlite import SQLiteBackend, detect_shard_count, shard_path
 
 __all__ = [
     "MAX_BOUND_VARS",
@@ -25,7 +24,6 @@ __all__ = [
     "InMemoryBackend",
     "PersistBatch",
     "SQLiteBackend",
-    "ShardedSQLiteBackend",
     "StorageBackend",
     "chunk_size",
     "chunks",

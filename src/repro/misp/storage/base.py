@@ -2,16 +2,15 @@
 
 :class:`~repro.misp.store.MispStore` is a thin facade: it turns
 :class:`~repro.misp.model.MispEvent` objects into plain rows, emits metrics,
-and delegates every byte of persistence to a :class:`StorageBackend`.  Three
+and delegates every byte of persistence to a :class:`StorageBackend`.  Two
 implementations exist:
 
-- :class:`~repro.misp.storage.sqlite.SQLiteBackend` — the classic single-file
-  (or ``:memory:``) SQLite store;
-- :class:`~repro.misp.storage.sharded.ShardedSQLiteBackend` — N SQLite shards
-  keyed by :func:`shard_of` plus a global catalog for the audit log, sync
-  ledger, provenance, counters and the value index;
-- :class:`~repro.misp.storage.memory.InMemoryBackend` — pure-python dicts for
-  benches and unit tests.
+- :class:`~repro.misp.storage.sqlite.SQLiteBackend` — a global catalog (audit
+  log, attributes, sync ledger, provenance, counters) plus N shards of
+  events, tags and correlations keyed by :func:`shard_of`; at one shard the
+  catalog and the shard are the same single file (or ``:memory:``);
+- :class:`~repro.misp.storage.memory.InMemoryBackend` — pure-python dicts,
+  the independent reference the conformance suite compares against.
 
 Determinism contract (docs/PERFORMANCE.md): for the same operation sequence,
 every backend — and every shard count — must produce identical audit
@@ -125,8 +124,9 @@ class StorageBackend:
     Transaction discipline: :meth:`persist_batch`, :meth:`add_provenance`,
     :meth:`save_correlations`, :meth:`set_sync_watermark` and
     :meth:`set_sync_digests` are each atomic per call (one transaction in
-    SQLite terms; sharded backends commit their shards serially in shard
-    order, catalog last).  Read methods never observe a half-applied batch.
+    SQLite terms; with several shards, the touched shards commit serially
+    in shard order, catalog last).  Read methods never observe a
+    half-applied batch.
     """
 
     #: Python→storage round trips issued so far (logical ops for the

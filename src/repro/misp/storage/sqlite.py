@@ -1,15 +1,33 @@
-"""Single-file (or ``:memory:``) SQLite storage backend.
+"""SQLite storage backend: one file, or a catalog plus N hash shards.
 
-This is the seed store's persistence engine extracted behind
-:class:`~repro.misp.storage.base.StorageBackend`, with three upgrades:
+``SQLiteBackend(path, shards=N)`` keeps everything that must stay globally
+ordered or globally searchable in one *catalog* database:
 
-- a composite ``attributes(value, type)`` index so value search, correlation
-  probes and delta-sync digest probes never full-table scan;
-- a ``counters`` table maintained transactionally so ``event_count`` /
+- ``audit_log`` — the monotonic change cursor, inserted in batch order so
+  AUTOINCREMENT ``seq`` assignment is identical at every shard count;
+- ``attributes`` — every attribute row.  Its ``rowid`` order is batch order
+  at any shard count, so value search and correlation probes read it
+  without touching a shard, behind a composite ``(value, type)`` index;
+- ``provenance``, ``sync_state``, ``sync_digests``, ``rollup_state``;
+- ``counters`` — maintained transactionally so ``event_count`` /
   ``attribute_count`` / ``correlation_count`` are O(1) reads (the obs layer
   polls them every cycle);
-- a ``store_meta`` table recording the shard layout (always 1 here) so
-  ``MispStore`` can auto-detect how to open an existing file.
+- ``store_meta`` — the shard count, so ``MispStore`` can auto-detect how to
+  open an existing file.
+
+Events, their tags and their correlation rows live on the shard picked by
+:func:`~repro.misp.storage.base.shard_of` (a sha256 prefix of the event
+uuid), so per-event work — above all correlation-row scans, which SQLite
+resolves by walking the whole ``correlations`` table — touches ``1/N`` of
+the corpus.  At ``shards=1`` the catalog connection *is* shard 0: one file
+holding every table, the classic single-file layout.
+
+Write protocol (the determinism contract of docs/PERFORMANCE.md): commits
+are serial — shards in ascending shard order, catalog last — so any shard
+count produces the same durable state and the same audit sequences.
+Correlation edges are written to *both* endpoint shards (one copy when both
+ends hash to the same shard); the catalog counter tracks logical edges, so
+counts match at every shard count byte for byte.
 
 Chunked queries derive their chunk size from the shared
 :data:`~repro.misp.storage.base.MAX_BOUND_VARS` budget, so no query can
@@ -18,8 +36,20 @@ exceed SQLite's bound-variable limit however many uuids a cycle carries.
 
 from __future__ import annotations
 
+import os
 import sqlite3
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ...errors import StorageError
 from .base import (
@@ -28,10 +58,10 @@ from .base import (
     StorageBackend,
     chunk_size,
     chunks,
+    shard_of,
 )
 
-#: Tables every *shard* carries (relational event data).  The single-file
-#: backend is simply "one shard plus the catalog tables in the same file".
+#: Tables every *shard* carries (relational event data).
 SHARD_SCHEMA = """
 CREATE TABLE IF NOT EXISTS events (
     uuid TEXT PRIMARY KEY,
@@ -45,19 +75,6 @@ CREATE TABLE IF NOT EXISTS events (
     timestamp INTEGER NOT NULL,
     blob TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS attributes (
-    uuid TEXT PRIMARY KEY,
-    event_uuid TEXT NOT NULL REFERENCES events(uuid) ON DELETE CASCADE,
-    type TEXT NOT NULL,
-    category TEXT NOT NULL,
-    value TEXT NOT NULL,
-    to_ids INTEGER NOT NULL,
-    correlatable INTEGER NOT NULL,
-    timestamp INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_attributes_value_type
-    ON attributes(value, type);
-CREATE INDEX IF NOT EXISTS idx_attributes_event ON attributes(event_uuid);
 CREATE TABLE IF NOT EXISTS event_tags (
     event_uuid TEXT NOT NULL REFERENCES events(uuid) ON DELETE CASCADE,
     name TEXT NOT NULL,
@@ -74,7 +91,24 @@ CREATE TABLE IF NOT EXISTS correlations (
 """
 
 #: Tables only the *catalog* carries (global ordered logs + ledgers).
+#: ``attributes`` has no foreign key: with 2+ shards the catalog holds no
+#: ``events`` table for it to reference.  Single files created before the
+#: attributes moved here still declare ``REFERENCES events ON DELETE
+#: CASCADE``; every write path below is ordered so that clause is inert.
 CATALOG_SCHEMA = """
+CREATE TABLE IF NOT EXISTS attributes (
+    uuid TEXT PRIMARY KEY,
+    event_uuid TEXT NOT NULL,
+    type TEXT NOT NULL,
+    category TEXT NOT NULL,
+    value TEXT NOT NULL,
+    to_ids INTEGER NOT NULL,
+    correlatable INTEGER NOT NULL,
+    timestamp INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_attributes_value_type
+    ON attributes(value, type);
+CREATE INDEX IF NOT EXISTS idx_attributes_event ON attributes(event_uuid);
 CREATE TABLE IF NOT EXISTS audit_log (
     seq INTEGER PRIMARY KEY AUTOINCREMENT,
     event_uuid TEXT NOT NULL,
@@ -126,26 +160,33 @@ CREATE TABLE IF NOT EXISTS store_meta (
 _PROVENANCE_COLS = ("seq, trace_id, event_uuid, kind, actor, org,"
                     " detail, cycle, logged_at")
 
+_CORRELATION_COLS = ("source_attribute, target_attribute, source_event,"
+                     " target_event, value")
+
 
 def provenance_row(raw: Sequence[Any]) -> Dict[str, Any]:
-    """Dict-shape one provenance row (shared by both SQLite backends)."""
+    """Dict-shape one provenance row."""
     return {"seq": raw[0], "trace_id": raw[1], "event_uuid": raw[2],
             "kind": raw[3], "actor": raw[4], "org": raw[5],
             "detail": raw[6], "cycle": raw[7], "logged_at": raw[8]}
+
+
+def correlation_row(raw: Sequence[str]) -> Dict[str, str]:
+    """Dict-shape one correlation row."""
+    return {"source_attribute": raw[0], "target_attribute": raw[1],
+            "source_event": raw[2], "target_event": raw[3], "value": raw[4]}
 
 
 class CountingConnection:
     """A SQLite connection that counts Python→SQLite round trips.
 
     The counter feeds ``MispStore.sql_statements`` so the SQL-budget benches
-    keep working across backends.  ``check_same_thread=False`` because the
-    sharded backend commits worker transactions from its coordinating
-    thread.
+    keep working across backends.
     """
 
-    def __init__(self, path: str, cache_pages: Optional[int] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.raw = sqlite3.connect(path, check_same_thread=False)
+        self.raw = sqlite3.connect(path)
         self.statements = 0
         self.raw.execute("PRAGMA foreign_keys = ON")
         if path != ":memory:":
@@ -153,10 +194,6 @@ class CountingConnection:
             # NORMAL fsyncs at checkpoints instead of every commit.
             self.raw.execute("PRAGMA journal_mode = WAL")
             self.raw.execute("PRAGMA synchronous = NORMAL")
-        if cache_pages is not None:
-            # Fixed page-cache budget *per connection*: a sharded store's
-            # aggregate cache scales with shard count (docs/PERFORMANCE.md).
-            self.raw.execute(f"PRAGMA cache_size = {int(cache_pages)}")
 
     def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
         self.statements += 1
@@ -189,34 +226,6 @@ class CountingConnection:
         return "\n".join(str(row[-1]) for row in rows)
 
 
-def init_meta(conn: CountingConnection, shards: int) -> None:
-    """Record (or validate) the store's shard layout in ``store_meta``."""
-    row = conn.execute(
-        "SELECT value FROM store_meta WHERE key = 'shards'").fetchone()
-    if row is None:
-        conn.execute(
-            "INSERT INTO store_meta (key, value) VALUES ('shards', ?)",
-            (str(int(shards)),))
-        conn.commit()
-    elif int(row[0]) != shards:
-        raise StorageError(
-            f"store at {conn.path!r} was created with {row[0]} shard(s); "
-            f"refusing to open it with {shards}")
-
-
-def init_counters(conn: CountingConnection,
-                  counts: Mapping[str, int]) -> None:
-    """Seed missing counter rows (migration path for pre-counter stores)."""
-    for name, value in counts.items():
-        row = conn.execute(
-            "SELECT value FROM counters WHERE name = ?", (name,)).fetchone()
-        if row is None:
-            conn.execute(
-                "INSERT INTO counters (name, value) VALUES (?,?)",
-                (name, int(value)))
-    conn.commit()
-
-
 def bump_counter(conn: CountingConnection, name: str, delta: int) -> None:
     """Adjust one maintained counter inside the caller's transaction."""
     if delta:
@@ -231,14 +240,17 @@ def read_counter(conn: CountingConnection, name: str) -> int:
     return int(row[0]) if row is not None else 0
 
 
+def shard_path(path: str, shard: int) -> str:
+    """Filesystem path of one shard database (stores with 2+ shards)."""
+    return f"{path}.shard-{shard:02d}"
+
+
 def detect_shard_count(path: str) -> Optional[int]:
     """The shard count recorded in an existing store file (None if absent).
 
     Lets ``MispStore(path)`` open a sharded store the way it was created
     without the caller re-supplying ``--store-shards``.
     """
-    import os
-
     if path == ":memory:" or not os.path.exists(path):
         return None
     try:
@@ -254,17 +266,491 @@ def detect_shard_count(path: str) -> Optional[int]:
     return int(row[0]) if row is not None else None
 
 
-class CatalogOps:
-    """Audit / provenance / delta-sync methods over a catalog connection.
+class SQLiteBackend(StorageBackend):
+    """SQLite store: a catalog database plus ``shards`` event shards.
 
-    Both SQLite backends keep these global, strictly-ordered tables in one
-    database — the single-file backend in its only file, the sharded
-    backend in its catalog — so the method bodies are identical given
-    ``self._cat``.  ``events_changed_since`` filters deleted events through
-    the concrete backend's :meth:`existing_events`.
+    ``path`` names the catalog.  With one shard the catalog file holds the
+    shard tables too; with more, shards live beside it as
+    ``<path>.shard-NN``, and ``path=":memory:"`` gives every shard its own
+    private in-memory database.
     """
 
-    _cat: CountingConnection
+    def __init__(self, path: str = ":memory:", shards: int = 1) -> None:
+        if shards < 1:
+            raise StorageError(f"a store needs >= 1 shard, got {shards}")
+        self._path = path
+        self._shards = int(shards)
+        self._cat = CountingConnection(path)
+        if path != ":memory:" and self._cat.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'value_index'"
+        ).fetchone() is not None:
+            self._cat.close()
+            raise StorageError(
+                f"store at {path!r} uses the retired sharded layout (a"
+                " catalog value_index, attributes on the shards); it cannot"
+                " be opened by this version")
+        self._cat.executescript(CATALOG_SCHEMA)
+        self._init_meta()
+        if self._shards == 1:
+            self._conns = [self._cat]
+        else:
+            self._conns = [
+                CountingConnection(":memory:" if path == ":memory:"
+                                   else shard_path(path, shard))
+                for shard in range(self._shards)]
+        for conn in self._conns:
+            conn.executescript(SHARD_SCHEMA)
+        self._init_counters()
+
+    def _init_meta(self) -> None:
+        """Record (or validate) the shard layout in ``store_meta``."""
+        row = self._cat.execute(
+            "SELECT value FROM store_meta WHERE key = 'shards'").fetchone()
+        if row is None:
+            self._cat.execute(
+                "INSERT INTO store_meta (key, value) VALUES ('shards', ?)",
+                (str(self._shards),))
+            self._cat.commit()
+        elif int(row[0]) != self._shards:
+            self._cat.close()
+            raise StorageError(
+                f"store at {self._path!r} was created with {row[0]} shard(s);"
+                f" refusing to open it with {self._shards}")
+
+    def _init_counters(self) -> None:
+        """Seed missing counter rows; a count is computed only when its row
+        is missing (a fresh store, or one that predates the counters)."""
+        present = {row[0] for row in self._cat.execute(
+            "SELECT name FROM counters").fetchall()}
+        for name, count in (("events", self._count_events),
+                            ("attributes", self._count_attributes),
+                            ("correlations", self._count_correlations)):
+            if name not in present:
+                self._cat.execute(
+                    "INSERT INTO counters (name, value) VALUES (?,?)",
+                    (name, count()))
+        self._cat.commit()
+
+    def _count_events(self) -> int:
+        return sum(conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
+                   for conn in self._conns)
+
+    def _count_attributes(self) -> int:
+        return self._cat.execute(
+            "SELECT COUNT(*) FROM attributes").fetchone()[0]
+
+    def _count_correlations(self) -> int:
+        # Mirrored rows mean a raw sum double-counts cross-shard edges; an
+        # edge's primary copy is the one on its *source* event's shard.
+        return sum(
+            1 for shard, conn in enumerate(self._conns)
+            for (source_event,) in conn.execute(
+                "SELECT source_event FROM correlations").fetchall()
+            if self._shard_for(source_event) == shard)
+
+    def _shard_for(self, event_uuid: str) -> int:
+        return shard_of(event_uuid, self._shards)
+
+    def _group_by_shard(self, rows: Sequence, key=lambda row: row
+                        ) -> Dict[int, List]:
+        """Split ``rows`` by their event's shard, keeping order per shard."""
+        if self._shards == 1:
+            return {0: list(rows)} if rows else {}
+        grouped: Dict[int, List] = {}
+        for row in rows:
+            grouped.setdefault(self._shard_for(key(row)), []).append(row)
+        return grouped
+
+    @contextmanager
+    def _transaction(self, shards: Sequence[int] = ()) -> Iterator[None]:
+        """One atomic write over ``shards`` plus the catalog.
+
+        Commits are serial and deterministic: shards ascending, catalog
+        last, so readers never observe catalog state ahead of shard state.
+        """
+        conns = [self._conns[shard] for shard in sorted(shards)
+                 if self._conns[shard] is not self._cat] + [self._cat]
+        try:
+            yield
+        except BaseException:
+            for conn in conns:
+                conn.rollback()
+            raise
+        for conn in conns:
+            conn.commit()
+
+    def _merged_blobs(self, queries: Sequence[Tuple[CountingConnection, str,
+                                                    Sequence]]) -> List[str]:
+        """Run ``blob, timestamp, uuid`` queries ordered by ``timestamp DESC,
+        uuid`` and merge their rows on that same fully-specified key."""
+        if len(queries) == 1:
+            conn, sql, params = queries[0]
+            return [row[0] for row in conn.execute(sql, params).fetchall()]
+        merged: List[Tuple[int, str, str]] = []
+        for conn, sql, params in queries:
+            for blob, timestamp, uuid in conn.execute(sql, params).fetchall():
+                merged.append((-int(timestamp), uuid, blob))
+        merged.sort(key=lambda row: (row[0], row[1]))
+        return [row[2] for row in merged]
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def info(self) -> BackendInfo:
+        paths: List[str] = []
+        if self._path != ":memory:":
+            paths = [self._path]
+            if self._shards > 1:
+                paths += [shard_path(self._path, shard)
+                          for shard in range(self._shards)]
+        return BackendInfo(kind="sqlite", shard_count=self._shards,
+                           paths=paths)
+
+    def close(self) -> None:
+        for conn in self._conns:
+            if conn is not self._cat:
+                conn.close()
+        self._cat.close()
+
+    @property
+    def sql_statements(self) -> int:  # type: ignore[override]
+        return self._cat.statements + sum(
+            conn.statements for conn in self._conns
+            if conn is not self._cat)
+
+    def query_plan(self, sql: str, params: Sequence = ()) -> str:
+        """The *catalog* planner's choice (value probes run there)."""
+        return self._cat.query_plan(sql, params)
+
+    # -- events -------------------------------------------------------------
+
+    def existing_events(self, uuids: Sequence[str]) -> Set[str]:
+        existing: Set[str] = set()
+        for shard, members in sorted(self._group_by_shard(uuids).items()):
+            conn = self._conns[shard]
+            for chunk in chunks(members, chunk_size()):
+                placeholders = ",".join("?" * len(chunk))
+                rows = conn.execute(
+                    f"SELECT uuid FROM events WHERE uuid IN ({placeholders})",
+                    chunk).fetchall()
+                existing.update(row[0] for row in rows)
+        return existing
+
+    def persist_batch(self, batch: PersistBatch) -> Dict[int, int]:
+        shard_uuids = self._group_by_shard(batch.uuids)
+        shard_events = self._group_by_shard(batch.event_rows,
+                                            lambda row: row[0])
+        shard_tags = self._group_by_shard(batch.tag_rows, lambda row: row[0])
+        touched = sorted(shard_uuids)
+        cat = self._cat
+        with self._transaction(touched):
+            # Delete (and count) the attribute rows this batch replaces
+            # *before* the events upsert.  Single files from earlier
+            # releases declare attributes ON DELETE CASCADE: an earlier
+            # REPLACE would remove the old rows uncounted, and one after
+            # the attribute insert would remove the fresh rows.
+            before = cat.total_changes
+            cat.executemany(
+                "DELETE FROM attributes WHERE event_uuid = ?",
+                [(uuid,) for uuid in batch.uuids])
+            deleted_attributes = cat.total_changes - before
+            cat.executemany(
+                "INSERT INTO audit_log (event_uuid, action, detail,"
+                " logged_at) VALUES (?,?,?,?)", batch.audit_rows)
+            for shard in touched:
+                conn = self._conns[shard]
+                conn.executemany(
+                    "INSERT OR REPLACE INTO events "
+                    "(uuid, info, date, org, threat_level_id, analysis,"
+                    " distribution, published, timestamp, blob)"
+                    " VALUES (?,?,?,?,?,?,?,?,?,?)",
+                    shard_events.get(shard, []))
+                conn.executemany(
+                    "DELETE FROM event_tags WHERE event_uuid = ?",
+                    [(uuid,) for uuid in shard_uuids[shard]])
+                if shard in shard_tags:
+                    conn.executemany(
+                        "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
+                        " VALUES (?,?)", shard_tags[shard])
+            # Batch order: attribute rowids follow it at every shard count.
+            cat.executemany(
+                "INSERT OR REPLACE INTO attributes "
+                "(uuid, event_uuid, type, category, value, to_ids,"
+                " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
+                batch.attribute_rows)
+            bump_counter(cat, "events", batch.new_events)
+            bump_counter(cat, "attributes",
+                         len(batch.attribute_rows) - deleted_attributes)
+        return {shard: len(shard_uuids[shard]) for shard in touched}
+
+    def has_event(self, uuid: str) -> bool:
+        row = self._conns[self._shard_for(uuid)].execute(
+            "SELECT 1 FROM events WHERE uuid = ?", (uuid,)).fetchone()
+        return row is not None
+
+    def get_event_blob(self, uuid: str) -> Optional[str]:
+        row = self._conns[self._shard_for(uuid)].execute(
+            "SELECT blob FROM events WHERE uuid = ?", (uuid,)).fetchone()
+        return row[0] if row is not None else None
+
+    def get_event_blobs(self, uuids: Sequence[str]
+                        ) -> Dict[str, Optional[str]]:
+        result: Dict[str, Optional[str]] = {uuid: None for uuid in uuids}
+        for shard, members in sorted(self._group_by_shard(
+                list(result)).items()):
+            conn = self._conns[shard]
+            for chunk in chunks(members, chunk_size()):
+                placeholders = ",".join("?" * len(chunk))
+                rows = conn.execute(
+                    f"SELECT uuid, blob FROM events WHERE uuid IN"
+                    f" ({placeholders})", chunk).fetchall()
+                for uuid, blob in rows:
+                    result[uuid] = blob
+        return result
+
+    def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:
+        unique = list(dict.fromkeys(uuids))
+        found: Set[str] = set()
+        for shard, members in sorted(self._group_by_shard(unique).items()):
+            conn = self._conns[shard]
+            for chunk in chunks(members, chunk_size(reserved=1)):
+                placeholders = ",".join("?" * len(chunk))
+                rows = conn.execute(
+                    "SELECT DISTINCT event_uuid FROM event_tags"
+                    f" WHERE name = ? AND event_uuid IN ({placeholders})",
+                    [tag, *chunk]).fetchall()
+                found.update(row[0] for row in rows)
+        return found
+
+    def delete_event(self, uuid: str,
+                     logged_at: Optional[int] = None) -> bool:
+        shard = self._shard_for(uuid)
+        conn = self._conns[shard]
+        cat = self._cat
+        with self._transaction([shard]):
+            row = conn.execute(
+                "SELECT timestamp FROM events WHERE uuid = ?",
+                (uuid,)).fetchone()
+            # Attributes first, so a cascading legacy schema has nothing
+            # left to remove uncounted.
+            attributes = cat.execute(
+                "DELETE FROM attributes WHERE event_uuid = ?",
+                (uuid,)).rowcount
+            deleted = conn.execute(
+                "DELETE FROM events WHERE uuid = ?", (uuid,)).rowcount > 0
+            if deleted:
+                if logged_at is None:
+                    logged_at = int(row[0]) if row is not None else 0
+                cat.execute(
+                    "INSERT INTO audit_log (event_uuid, action, detail,"
+                    " logged_at) VALUES (?,?,?,?)",
+                    (uuid, "deleted", "", logged_at))
+                bump_counter(cat, "events", -1)
+                bump_counter(cat, "attributes", -attributes)
+        return deleted
+
+    def list_event_blobs(self, limit: Optional[int] = None,
+                         published_only: bool = False,
+                         since_ts: Optional[int] = None) -> List[str]:
+        # Each shard pre-sorts (and pre-limits) its slice; the merge re-sorts
+        # the union on the same fully-specified key.
+        query = "SELECT blob, timestamp, uuid FROM events"
+        params: List[Any] = []
+        clauses: List[str] = []
+        if published_only:
+            clauses.append("published = 1")
+        if since_ts is not None:
+            clauses.append("timestamp >= ?")
+            params.append(int(since_ts))
+        if clauses:
+            query += " WHERE " + " AND ".join(clauses)
+        query += " ORDER BY timestamp DESC, uuid"
+        if limit is not None:
+            query += " LIMIT ?"
+            params.append(int(limit))
+        blobs = self._merged_blobs(
+            [(conn, query, params) for conn in self._conns])
+        return blobs[:int(limit)] if limit is not None else blobs
+
+    # -- search -------------------------------------------------------------
+
+    def search_value(self, value: str) -> List[Tuple[str, str]]:
+        rows = self._cat.execute(
+            "SELECT event_uuid, uuid FROM attributes WHERE value = ?"
+            " ORDER BY rowid", (value,)).fetchall()
+        return [(r[0], r[1]) for r in rows]
+
+    def search_event_blobs(self, info_substring: Optional[str] = None,
+                           tag: Optional[str] = None,
+                           attribute_type: Optional[str] = None,
+                           value: Optional[str] = None) -> List[str]:
+        query = "SELECT DISTINCT e.blob, e.timestamp, e.uuid FROM events e"
+        clauses: List[str] = []
+        params: List[Any] = []
+        if tag is not None:
+            query += " JOIN event_tags t ON t.event_uuid = e.uuid"
+            clauses.append("t.name = ?")
+            params.append(tag)
+        if info_substring is not None:
+            clauses.append("e.info LIKE ?")
+            params.append(f"%{info_substring}%")
+        order = " ORDER BY e.timestamp DESC, e.uuid"
+        if attribute_type is None and value is None:
+            where = " WHERE " + " AND ".join(clauses) if clauses else ""
+            return self._merged_blobs(
+                [(conn, query + where + order, params)
+                 for conn in self._conns])
+        # Attribute filters resolve on the catalog, then narrow each shard.
+        filters: List[str] = []
+        filter_params: List[Any] = []
+        if attribute_type is not None:
+            filters.append("type = ?")
+            filter_params.append(attribute_type)
+        if value is not None:
+            filters.append("value = ?")
+            filter_params.append(value)
+        matched = [row[0] for row in self._cat.execute(
+            "SELECT DISTINCT event_uuid FROM attributes WHERE "
+            + " AND ".join(filters), filter_params).fetchall()]
+        queries = []
+        for shard, members in sorted(self._group_by_shard(matched).items()):
+            for chunk in chunks(members, chunk_size(reserved=len(params))):
+                placeholders = ",".join("?" * len(chunk))
+                where = " WHERE " + " AND ".join(
+                    [*clauses, f"e.uuid IN ({placeholders})"])
+                queries.append((self._conns[shard], query + where + order,
+                                [*params, *chunk]))
+        return self._merged_blobs(queries) if queries else []
+
+    def correlatable_attributes(self, value: str,
+                                exclude_event: Optional[str] = None
+                                ) -> List[Tuple[str, str]]:
+        query = ("SELECT event_uuid, uuid FROM attributes "
+                 "WHERE value = ? AND correlatable = 1")
+        params: List[Any] = [value]
+        if exclude_event is not None:
+            query += " AND event_uuid != ?"
+            params.append(exclude_event)
+        query += " ORDER BY rowid"
+        return [(r[0], r[1])
+                for r in self._cat.execute(query, params).fetchall()]
+
+    def correlatable_attributes_many(
+            self, values: Sequence[str]
+    ) -> Dict[str, List[Tuple[str, str]]]:
+        result: Dict[str, List[Tuple[str, str]]] = {
+            value: [] for value in values}
+        unique = list(result)
+        for chunk in chunks(unique, chunk_size()):
+            placeholders = ",".join("?" * len(chunk))
+            rows = self._cat.execute(
+                "SELECT value, event_uuid, uuid FROM attributes"
+                f" WHERE correlatable = 1 AND value IN ({placeholders})"
+                " ORDER BY rowid", chunk).fetchall()
+            for value, event_uuid, attribute_uuid in rows:
+                result[value].append((event_uuid, attribute_uuid))
+        return result
+
+    # -- correlations --------------------------------------------------------
+
+    def save_correlations(
+            self, edges: Sequence[Tuple[str, str, str, str, str]]) -> int:
+        edges = list(edges)
+        if not edges:
+            return 0
+        # Per-shard row lists in original edge order; a cross-shard edge
+        # contributes its primary copy (source shard) and its mirror (target
+        # shard) at the same position, so per-shard rowid order matches the
+        # one-shard store's per-event row order.
+        shard_rows: Dict[int, List[Tuple]] = {}
+        for edge in edges:
+            source, target = self._shard_for(edge[2]), self._shard_for(edge[3])
+            shard_rows.setdefault(source, []).append(edge)
+            if target != source:
+                shard_rows.setdefault(target, []).append(edge)
+        touched = sorted(shard_rows)
+        probed = self._count_new_edges(edges) if self._shards > 1 else 0
+        with self._transaction(touched):
+            before = self._cat.total_changes
+            for shard in touched:
+                self._conns[shard].executemany(
+                    "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
+                    shard_rows[shard])
+            # One shard holds no mirrors: its change count is the logical one.
+            inserted = probed if self._shards > 1 \
+                else self._cat.total_changes - before
+            bump_counter(self._cat, "correlations", inserted)
+        return inserted
+
+    def _count_new_edges(self, edges: Sequence[Tuple]) -> int:
+        """Logical edges of ``edges`` not stored yet, probed on each edge's
+        source shard (an attribute's event, hence its shard, is fixed, so
+        a key's primary copy always lives there)."""
+        inserted = 0
+        seen: Set[Tuple[str, str]] = set()
+        for shard, group in sorted(self._group_by_shard(
+                edges, lambda edge: edge[2]).items()):
+            existing: Set[Tuple[str, str]] = set()
+            sources = list(dict.fromkeys(edge[0] for edge in group))
+            for chunk in chunks(sources, chunk_size()):
+                placeholders = ",".join("?" * len(chunk))
+                rows = self._conns[shard].execute(
+                    "SELECT source_attribute, target_attribute"
+                    " FROM correlations WHERE source_attribute IN"
+                    f" ({placeholders})", chunk).fetchall()
+                existing.update((r[0], r[1]) for r in rows)
+            for edge in group:
+                key = (edge[0], edge[1])
+                if key not in existing and key not in seen:
+                    inserted += 1
+                    seen.add(key)
+        return inserted
+
+    def correlations_for_event(self, event_uuid: str) -> List[Dict[str, str]]:
+        # Every edge touching an event is mirrored onto that event's shard,
+        # so this scan walks ~1/N of the corpus.
+        rows = self._conns[self._shard_for(event_uuid)].execute(
+            f"SELECT {_CORRELATION_COLS} FROM correlations"
+            " WHERE source_event = ? OR target_event = ?"
+            " ORDER BY rowid", (event_uuid, event_uuid)).fetchall()
+        return [correlation_row(r) for r in rows]
+
+    def correlations_for_events(
+            self, uuids: Sequence[str]) -> Dict[str, List[Dict[str, str]]]:
+        result: Dict[str, List[Dict[str, str]]] = {uuid: [] for uuid in uuids}
+        for shard, members in sorted(self._group_by_shard(
+                list(result)).items()):
+            conn = self._conns[shard]
+            # Each uuid binds twice (source IN + target IN), so the chunk
+            # size halves to stay inside the bound-variable budget.
+            for chunk in chunks(members, chunk_size(per_item=2)):
+                chunk_set = set(chunk)
+                placeholders = ",".join("?" * len(chunk))
+                rows = conn.execute(
+                    f"SELECT {_CORRELATION_COLS} FROM correlations"
+                    f" WHERE source_event IN ({placeholders})"
+                    f" OR target_event IN ({placeholders})"
+                    " ORDER BY rowid", [*chunk, *chunk]).fetchall()
+                for r in rows:
+                    row = correlation_row(r)
+                    # Attach only to this chunk's members on this shard: a
+                    # row whose sides land in different chunks (or, mirrored,
+                    # on different shards) is returned by both scans.
+                    for side in {r[2], r[3]}:
+                        if side in chunk_set and \
+                                self._shard_for(side) == shard:
+                            result[side].append(row)
+        return result
+
+    def correlation_count(self) -> int:
+        return read_counter(self._cat, "correlations")
+
+    # -- counters -----------------------------------------------------------
+
+    def event_count(self) -> int:
+        return read_counter(self._cat, "events")
+
+    def attribute_count(self) -> int:
+        return read_counter(self._cat, "attributes")
 
     # -- audit --------------------------------------------------------------
 
@@ -318,9 +804,6 @@ class CatalogOps:
         rows = self._cat.execute(query, params).fetchall()
         return [(int(r[0]), r[1], r[2], int(r[3])) for r in rows]
 
-    def existing_events(self, uuids: Sequence[str]) -> Set[str]:
-        raise NotImplementedError
-
     # -- rollup cursors -------------------------------------------------------
 
     def get_rollup(self, name: str) -> Optional[Tuple[int, str]]:
@@ -331,15 +814,11 @@ class CatalogOps:
 
     def set_rollup(self, name: str, position: int, state: str = "",
                    logged_at: int = 0) -> None:
-        try:
+        with self._transaction():
             self._cat.execute(
                 "INSERT OR REPLACE INTO rollup_state (name, position,"
                 " state, updated_at) VALUES (?,?,?,?)",
                 (name, int(position), state, int(logged_at)))
-        except BaseException:
-            self._cat.rollback()
-            raise
-        self._cat.commit()
 
     def rollup_names(self) -> List[str]:
         rows = self._cat.execute(
@@ -352,15 +831,11 @@ class CatalogOps:
         rows = list(rows)
         if not rows:
             return 0
-        try:
+        with self._transaction():
             self._cat.executemany(
                 "INSERT INTO provenance (trace_id, event_uuid, kind, actor,"
                 " org, detail, cycle, logged_at) VALUES (?,?,?,?,?,?,?,?)",
                 rows)
-        except BaseException:
-            self._cat.rollback()
-            raise
-        self._cat.commit()
         return len(rows)
 
     def provenance_for_event(self, event_uuid: str) -> List[Dict[str, Any]]:
@@ -395,15 +870,11 @@ class CatalogOps:
 
     def set_sync_watermark(self, entity: str, watermark: int,
                            logged_at: int = 0) -> None:
-        try:
+        with self._transaction():
             self._cat.execute(
                 "INSERT OR REPLACE INTO sync_state (entity, watermark,"
                 " updated_at) VALUES (?,?,?)",
                 (entity, int(watermark), int(logged_at)))
-        except BaseException:
-            self._cat.rollback()
-            raise
-        self._cat.commit()
 
     def sync_watermarks(self) -> Dict[str, int]:
         rows = self._cat.execute(
@@ -428,16 +899,12 @@ class CatalogOps:
                          digests: Mapping[str, str]) -> None:
         if not digests:
             return
-        try:
+        with self._transaction():
             self._cat.executemany(
                 "INSERT OR REPLACE INTO sync_digests"
                 " (entity, event_uuid, digest) VALUES (?,?,?)",
                 [(entity, uuid, digest)
                  for uuid, digest in digests.items()])
-        except BaseException:
-            self._cat.rollback()
-            raise
-        self._cat.commit()
 
     def sync_digest_count(self, entity: Optional[str] = None) -> int:
         if entity is None:
@@ -452,322 +919,3 @@ class CatalogOps:
             "SELECT entity, event_uuid, digest FROM sync_digests"
             " ORDER BY entity, event_uuid").fetchall()
         return [(row[0], row[1], row[2]) for row in rows]
-
-    # -- counters -----------------------------------------------------------
-
-    def event_count(self) -> int:
-        return read_counter(self._cat, "events")
-
-    def attribute_count(self) -> int:
-        return read_counter(self._cat, "attributes")
-
-    def correlation_count(self) -> int:
-        return read_counter(self._cat, "correlations")
-
-
-class SQLiteBackend(CatalogOps, StorageBackend):
-    """The classic one-file store: shard tables + catalog tables together."""
-
-    def __init__(self, path: str = ":memory:",
-                 cache_pages: Optional[int] = None) -> None:
-        self._conn = CountingConnection(path, cache_pages=cache_pages)
-        self._cat = self._conn
-        self._path = path
-        self._conn.executescript(SHARD_SCHEMA)
-        self._conn.executescript(CATALOG_SCHEMA)
-        init_meta(self._conn, shards=1)
-        init_counters(self._conn, {
-            "events": self._count_table("events"),
-            "attributes": self._count_table("attributes"),
-            "correlations": self._count_table("correlations"),
-        })
-
-    def _count_table(self, table: str) -> int:
-        return self._conn.execute(
-            f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def info(self) -> BackendInfo:
-        paths = [] if self._path == ":memory:" else [self._path]
-        return BackendInfo(kind="sqlite", shard_count=1, paths=paths)
-
-    def close(self) -> None:
-        self._conn.close()
-
-    @property
-    def sql_statements(self) -> int:  # type: ignore[override]
-        return self._conn.statements
-
-    def query_plan(self, sql: str, params: Sequence = ()) -> str:
-        """Expose the planner's choice for index-usage assertions."""
-        return self._conn.query_plan(sql, params)
-
-    # -- events -------------------------------------------------------------
-
-    def existing_events(self, uuids: Sequence[str]) -> Set[str]:
-        existing: Set[str] = set()
-        for chunk in chunks(list(uuids), chunk_size()):
-            placeholders = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                f"SELECT uuid FROM events WHERE uuid IN ({placeholders})",
-                chunk).fetchall()
-            existing.update(row[0] for row in rows)
-        return existing
-
-    def persist_batch(self, batch: PersistBatch) -> Dict[int, int]:
-        conn = self._conn
-        try:
-            # Count the rows this batch replaces *before* the events upsert:
-            # REPLACE cascades old attribute rows away, and cascade deletes
-            # are invisible to total_changes.
-            deleted_attributes = 0
-            for chunk in chunks(batch.uuids, chunk_size()):
-                placeholders = ",".join("?" * len(chunk))
-                deleted_attributes += conn.execute(
-                    "SELECT COUNT(*) FROM attributes WHERE event_uuid IN"
-                    f" ({placeholders})", chunk).fetchone()[0]
-            conn.executemany(
-                "INSERT INTO audit_log (event_uuid, action, detail,"
-                " logged_at) VALUES (?,?,?,?)", batch.audit_rows)
-            conn.executemany(
-                "INSERT OR REPLACE INTO events "
-                "(uuid, info, date, org, threat_level_id, analysis,"
-                " distribution, published, timestamp, blob)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?)", batch.event_rows)
-            conn.executemany(
-                "DELETE FROM attributes WHERE event_uuid = ?",
-                [(uuid,) for uuid in batch.uuids])
-            conn.executemany(
-                "DELETE FROM event_tags WHERE event_uuid = ?",
-                [(uuid,) for uuid in batch.uuids])
-            conn.executemany(
-                "INSERT OR REPLACE INTO attributes "
-                "(uuid, event_uuid, type, category, value, to_ids,"
-                " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
-                batch.attribute_rows)
-            if batch.tag_rows:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
-                    " VALUES (?,?)", batch.tag_rows)
-            bump_counter(conn, "events", batch.new_events)
-            bump_counter(conn, "attributes",
-                         len(batch.attribute_rows) - deleted_attributes)
-        except BaseException:
-            conn.rollback()
-            raise
-        conn.commit()
-        return {0: len(batch.uuids)}
-
-    def has_event(self, uuid: str) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM events WHERE uuid = ?", (uuid,)).fetchone()
-        return row is not None
-
-    def get_event_blob(self, uuid: str) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT blob FROM events WHERE uuid = ?", (uuid,)).fetchone()
-        return row[0] if row is not None else None
-
-    def get_event_blobs(self, uuids: Sequence[str]
-                        ) -> Dict[str, Optional[str]]:
-        result: Dict[str, Optional[str]] = {uuid: None for uuid in uuids}
-        unique = list(result)
-        for chunk in chunks(unique, chunk_size()):
-            placeholders = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                f"SELECT uuid, blob FROM events WHERE uuid IN"
-                f" ({placeholders})", chunk).fetchall()
-            for uuid, blob in rows:
-                result[uuid] = blob
-        return result
-
-    def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:
-        unique = list(dict.fromkeys(uuids))
-        found: Set[str] = set()
-        for chunk in chunks(unique, chunk_size(reserved=1)):
-            placeholders = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                "SELECT DISTINCT event_uuid FROM event_tags"
-                f" WHERE name = ? AND event_uuid IN ({placeholders})",
-                [tag, *chunk]).fetchall()
-            found.update(row[0] for row in rows)
-        return found
-
-    def delete_event(self, uuid: str,
-                     logged_at: Optional[int] = None) -> bool:
-        conn = self._conn
-        try:
-            row = conn.execute(
-                "SELECT timestamp FROM events WHERE uuid = ?",
-                (uuid,)).fetchone()
-            attributes = conn.execute(
-                "SELECT COUNT(*) FROM attributes WHERE event_uuid = ?",
-                (uuid,)).fetchone()[0]
-            cursor = conn.execute(
-                "DELETE FROM events WHERE uuid = ?", (uuid,))
-            deleted = cursor.rowcount > 0
-            if deleted:
-                if logged_at is None:
-                    logged_at = int(row[0]) if row is not None else 0
-                conn.execute(
-                    "INSERT INTO audit_log (event_uuid, action, detail,"
-                    " logged_at) VALUES (?,?,?,?)",
-                    (uuid, "deleted", "", logged_at))
-                bump_counter(conn, "events", -1)
-                bump_counter(conn, "attributes", -attributes)
-        except BaseException:
-            conn.rollback()
-            raise
-        conn.commit()
-        return deleted
-
-    def list_event_blobs(self, limit: Optional[int] = None,
-                         published_only: bool = False,
-                         since_ts: Optional[int] = None) -> List[str]:
-        query = "SELECT blob FROM events"
-        params: List[Any] = []
-        clauses: List[str] = []
-        if published_only:
-            clauses.append("published = 1")
-        if since_ts is not None:
-            clauses.append("timestamp >= ?")
-            params.append(int(since_ts))
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY timestamp DESC, uuid"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(int(limit))
-        rows = self._conn.execute(query, params).fetchall()
-        return [row[0] for row in rows]
-
-    # -- search -------------------------------------------------------------
-
-    def search_value(self, value: str) -> List[Tuple[str, str]]:
-        rows = self._conn.execute(
-            "SELECT event_uuid, uuid FROM attributes WHERE value = ?"
-            " ORDER BY rowid", (value,)).fetchall()
-        return [(r[0], r[1]) for r in rows]
-
-    def search_event_blobs(self, info_substring: Optional[str] = None,
-                           tag: Optional[str] = None,
-                           attribute_type: Optional[str] = None,
-                           value: Optional[str] = None) -> List[str]:
-        query = "SELECT DISTINCT e.blob, e.timestamp, e.uuid FROM events e"
-        clauses: List[str] = []
-        params: List[Any] = []
-        if tag is not None:
-            query += " JOIN event_tags t ON t.event_uuid = e.uuid"
-            clauses.append("t.name = ?")
-            params.append(tag)
-        if attribute_type is not None or value is not None:
-            query += " JOIN attributes a ON a.event_uuid = e.uuid"
-            if attribute_type is not None:
-                clauses.append("a.type = ?")
-                params.append(attribute_type)
-            if value is not None:
-                clauses.append("a.value = ?")
-                params.append(value)
-        if info_substring is not None:
-            clauses.append("e.info LIKE ?")
-            params.append(f"%{info_substring}%")
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY e.timestamp DESC, e.uuid"
-        rows = self._conn.execute(query, params).fetchall()
-        return [row[0] for row in rows]
-
-    def correlatable_attributes(self, value: str,
-                                exclude_event: Optional[str] = None
-                                ) -> List[Tuple[str, str]]:
-        query = ("SELECT event_uuid, uuid FROM attributes "
-                 "WHERE value = ? AND correlatable = 1")
-        params: List[Any] = [value]
-        if exclude_event is not None:
-            query += " AND event_uuid != ?"
-            params.append(exclude_event)
-        query += " ORDER BY rowid"
-        return [(r[0], r[1])
-                for r in self._conn.execute(query, params).fetchall()]
-
-    def correlatable_attributes_many(
-            self, values: Sequence[str]
-    ) -> Dict[str, List[Tuple[str, str]]]:
-        result: Dict[str, List[Tuple[str, str]]] = {
-            value: [] for value in values}
-        unique = list(result)
-        for chunk in chunks(unique, chunk_size()):
-            placeholders = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                "SELECT value, event_uuid, uuid FROM attributes"
-                f" WHERE correlatable = 1 AND value IN ({placeholders})"
-                " ORDER BY rowid", chunk).fetchall()
-            for value, event_uuid, attribute_uuid in rows:
-                result[value].append((event_uuid, attribute_uuid))
-        return result
-
-    # -- correlations --------------------------------------------------------
-
-    def save_correlations(
-            self, edges: Sequence[Tuple[str, str, str, str, str]]) -> int:
-        edges = list(edges)
-        if not edges:
-            return 0
-        conn = self._conn
-        try:
-            before = conn.total_changes
-            conn.executemany(
-                "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
-                edges)
-            inserted = conn.total_changes - before
-            bump_counter(conn, "correlations", inserted)
-        except BaseException:
-            conn.rollback()
-            raise
-        conn.commit()
-        return inserted
-
-    def correlations_for_event(self, event_uuid: str) -> List[Dict[str, str]]:
-        rows = self._conn.execute(
-            "SELECT source_attribute, target_attribute, source_event,"
-            " target_event, value FROM correlations"
-            " WHERE source_event = ? OR target_event = ?"
-            " ORDER BY rowid",
-            (event_uuid, event_uuid),
-        ).fetchall()
-        return [
-            {
-                "source_attribute": r[0], "target_attribute": r[1],
-                "source_event": r[2], "target_event": r[3], "value": r[4],
-            }
-            for r in rows
-        ]
-
-    def correlations_for_events(
-            self, uuids: Sequence[str]) -> Dict[str, List[Dict[str, str]]]:
-        result: Dict[str, List[Dict[str, str]]] = {uuid: [] for uuid in uuids}
-        unique = list(result)
-        # Each uuid binds twice (source IN + target IN), so the chunk size
-        # halves to stay inside the bound-variable budget.
-        for chunk in chunks(unique, chunk_size(per_item=2)):
-            chunk_set = set(chunk)
-            placeholders = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                "SELECT source_attribute, target_attribute, source_event,"
-                " target_event, value FROM correlations"
-                f" WHERE source_event IN ({placeholders})"
-                f" OR target_event IN ({placeholders})"
-                " ORDER BY rowid", [*chunk, *chunk]).fetchall()
-            for r in rows:
-                row = {
-                    "source_attribute": r[0], "target_attribute": r[1],
-                    "source_event": r[2], "target_event": r[3], "value": r[4],
-                }
-                # Attach only to uuids of *this* chunk: a row whose two
-                # sides land in different chunks is returned by both chunk
-                # queries and must not be double-counted.
-                for side in {r[2], r[3]}:
-                    if side in chunk_set:
-                        result[side].append(row)
-        return result

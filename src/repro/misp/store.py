@@ -10,11 +10,11 @@ correlation) and as their canonical MISP JSON blob (for lossless export).
 metrics, applies fault-injection seams, and delegates all persistence to a
 :class:`~repro.misp.storage.base.StorageBackend` —
 
-- the single-file SQLite backend (default, and the on-disk format of every
-  pre-sharding store);
-- the hash-sharded SQLite backend (``shards=N``), which bounds per-event
-  scans to ``1/N`` of the corpus (docs/PERFORMANCE.md);
-- the in-memory backend (``backend=InMemoryBackend()``) for tests/benches.
+- the SQLite backend (default): one file at ``shards=1``, or a catalog
+  plus ``N`` hash shards at ``shards=N``, which bounds per-event
+  correlation scans to ``1/N`` of the corpus (docs/PERFORMANCE.md);
+- the in-memory backend (``backend=InMemoryBackend()``), the independent
+  reference the conformance suite compares against.
 
 Backends are interchangeable by construction: the conformance suite
 (tests/test_storage_backends.py) asserts byte-identical audit history,
@@ -50,7 +50,6 @@ from .model import MispEvent
 from .storage import (
     PersistBatch,
     SQLiteBackend,
-    ShardedSQLiteBackend,
     StorageBackend,
     detect_shard_count,
 )
@@ -83,7 +82,7 @@ class MispStore:
     ``clock`` (optional) stamps audit rows for destructive operations; when
     absent, deletes fall back to the deleted event's own timestamp.
 
-    ``shards`` selects the hash-sharded backend (``>= 2``); ``None`` means
+    ``shards`` is the SQLite backend's hash-shard count; ``None`` means
     "whatever the file at ``path`` was created with, else 1".  Passing a
     ``backend`` overrides both and takes ownership of it.
     """
@@ -100,17 +99,10 @@ class MispStore:
         #: ``save_events``), before the transaction starts.
         self.fault_injector = fault_injector
         if backend is None:
-            detected = detect_shard_count(path)
             if shards is None:
-                shards = detected if detected is not None else 1
-            elif detected is not None and detected != shards:
-                raise StorageError(
-                    f"store at {path!r} was created with {detected} "
-                    f"shard(s); refusing to open it with {shards}")
-            if shards >= 2:
-                backend = ShardedSQLiteBackend(path, shards=shards)
-            else:
-                backend = SQLiteBackend(path)
+                shards = detect_shard_count(path) or 1
+            # The backend refuses a shard count that contradicts the file.
+            backend = SQLiteBackend(path, shards=shards)
         #: The :class:`~repro.misp.storage.base.StorageBackend` doing the
         #: actual persistence.
         self.backend = backend

@@ -142,12 +142,6 @@ class RenderCache:
         """Actual serializations performed this cycle (cache misses)."""
         return self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 with no lookups)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class SyncLedger:
     """Per-entity watermark + digest ledger over a :class:`MispStore`.

@@ -83,15 +83,6 @@ class IntegerProperty(Property):
         return value
 
 
-class FloatProperty(Property):
-    """A numeric property stored as float."""
-    def clean(self, name: str, value: Any) -> float:
-        """Validate and canonicalize a raw value."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
-        return float(value)
-
-
 class TimestampProperty(Property):
     """Accepts a datetime or an ISO/STIX timestamp string; stores UTC datetime."""
 
@@ -167,22 +158,6 @@ class ListProperty(Property):
         return [self.contained.serialize(item) for item in value]
 
 
-class EnumProperty(StringProperty):
-    """A string drawn from a *closed* vocabulary."""
-
-    def __init__(self, allowed: Sequence[str], required: bool = False) -> None:
-        super().__init__(required=required)
-        self.allowed = tuple(allowed)
-
-    def clean(self, name: str, value: Any) -> str:
-        """Validate and canonicalize a raw value."""
-        value = super().clean(name, value)
-        if value not in self.allowed:
-            raise ValidationError(
-                f"{name} must be one of {sorted(self.allowed)}, got {value!r}")
-        return value
-
-
 class OpenVocabProperty(StringProperty):
     """A string that *should* come from an open vocabulary.
 
@@ -198,19 +173,6 @@ class OpenVocabProperty(StringProperty):
     def is_recommended(self, value: str) -> bool:
         """Whether the value is in the suggested vocabulary."""
         return value in self.vocabulary
-
-
-class DictProperty(Property):
-    """A free-form JSON object property (string keys)."""
-
-    def clean(self, name: str, value: Any) -> dict:
-        """Validate and canonicalize a raw value."""
-        if not isinstance(value, dict):
-            raise ValidationError(f"{name} must be a dict")
-        for key in value:
-            if not isinstance(key, str):
-                raise ValidationError(f"{name} keys must be strings")
-        return value
 
 
 class EmbeddedObjectProperty(Property):

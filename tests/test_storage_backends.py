@@ -1,14 +1,17 @@
 """Backend conformance suite for the pluggable MISP storage layer.
 
-One set of behavioural tests runs against every backend — single-file
-SQLite, hash-sharded SQLite (×4) and in-memory — plus cross-backend
-equivalence tests asserting that shard counts {1, 4, 16} (and the
-in-memory backend) produce byte-identical audit history, correlation
-graphs, sync ledgers and lineage for the same operation sequence.
+One set of behavioural tests runs against every configuration — the SQLite
+backend as one file and as a catalog plus 4 hash shards, and the in-memory
+reference backend — plus cross-backend equivalence tests asserting that
+shard counts {1, 4, 16} (and the in-memory backend) produce byte-identical
+audit history, correlation graphs, sync ledgers and lineage for the same
+operation sequence, and on-disk tests for reopening, open cost and the
+layouts of earlier releases.
 """
 
 import datetime as dt
 import json
+import re
 import sqlite3
 
 import pytest
@@ -28,6 +31,7 @@ from repro.misp.storage import (
     detect_shard_count,
     shard_path,
 )
+from repro.misp.storage.sqlite import CountingConnection
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -283,27 +287,19 @@ class TestChunkBudget:
 class TestQueryPlan:
     """The index satellite: value probes must hit the (value, type) index."""
 
-    VALUE_QUERIES = {
-        "sqlite": [
-            "SELECT event_uuid, uuid FROM attributes WHERE value = ?",
-            "SELECT event_uuid, uuid FROM attributes"
-            " WHERE value = ? AND type = ?",
-        ],
-        "sharded": [
-            "SELECT event_uuid, attribute_uuid FROM value_index"
-            " WHERE value = ?",
-            "SELECT event_uuid, attribute_uuid FROM value_index"
-            " WHERE value = ? AND type = ?",
-        ],
-    }
+    VALUE_QUERIES = [
+        "SELECT event_uuid, uuid FROM attributes WHERE value = ?",
+        "SELECT event_uuid, uuid FROM attributes WHERE value = ? AND type = ?",
+    ]
 
     @pytest.mark.parametrize("kind", ["sqlite", "sharded"])
     def test_value_probe_uses_index(self, kind):
+        # Value probes run on the catalog at every shard count.
         built = MispStore(":memory:",
                           shards=4 if kind == "sharded" else 1)
         try:
             built.save_events([make_event()])
-            for query in self.VALUE_QUERIES[kind]:
+            for query in self.VALUE_QUERIES:
                 params = ("a.example",) if query.count("?") == 1 \
                     else ("a.example", "domain")
                 plan = built.query_plan(query, params)
@@ -476,3 +472,129 @@ class TestOnDiskLayout:
 
     def test_shard_path_layout(self):
         assert shard_path("/data/store.db", 3) == "/data/store.db.shard-03"
+
+    def test_reopen_reads_no_data_tables(self, tmp_path, monkeypatch):
+        # Opening a populated store must not count events, attributes or
+        # correlations: the maintained counters already hold those numbers.
+        path = str(tmp_path / "store.db")
+        built = MispStore(path, shards=4)
+        run_scenario(built)
+        counts = (built.event_count(), built.attribute_count(),
+                  built.correlation_count())
+        built.close()
+        statements = []
+        execute = CountingConnection.execute
+
+        def recording(conn, sql, params=()):
+            statements.append(sql)
+            return execute(conn, sql, params)
+
+        monkeypatch.setattr(CountingConnection, "execute", recording)
+        reopened = MispStore(path)
+        monkeypatch.undo()
+        try:
+            data = re.compile(r"\b(correlations|events|attributes)\b")
+            assert statements
+            assert not [sql for sql in statements if data.search(sql)]
+            assert (reopened.event_count(), reopened.attribute_count(),
+                    reopened.correlation_count()) == counts
+        finally:
+            reopened.close()
+
+    def test_legacy_cascading_single_file(self, tmp_path):
+        # Single files from before the attributes moved into the catalog
+        # declare attributes(event_uuid) REFERENCES events ON DELETE
+        # CASCADE.  They must read and write exactly like a fresh store.
+        path = str(tmp_path / "legacy.db")
+        raw = sqlite3.connect(path)
+        raw.executescript(LEGACY_SINGLE_FILE_SCHEMA)
+        raw.close()
+
+        def exercise(store):
+            corpus, pool = run_scenario(store)
+            smaller = copies_of(corpus)[7]
+            smaller.attributes = smaller.attributes[:1]
+            store.save_event(smaller)
+            correlate(store, pool)
+            return (state_fingerprint(store, corpus, pool),
+                    store.event_count(), store.attribute_count(),
+                    store.correlation_count())
+
+        fresh = MispStore(str(tmp_path / "fresh.db"))
+        expected = exercise(fresh)
+        fresh.close()
+        legacy = MispStore(path)
+        assert exercise(legacy) == expected
+        legacy.close()
+        raw = sqlite3.connect(path)
+        ddl = raw.execute("SELECT sql FROM sqlite_master"
+                          " WHERE name = 'attributes'").fetchone()[0]
+        raw.close()
+        assert "ON DELETE CASCADE" in ddl
+        reopened = MispStore(path)
+        assert (reopened.event_count(), reopened.attribute_count(),
+                reopened.correlation_count()) == expected[1:]
+        reopened.close()
+
+    def test_retired_sharded_catalog_refused(self, tmp_path):
+        # Sharded catalogs from before the attributes moved into the catalog
+        # carry a value_index table; they are refused, not migrated.
+        path = str(tmp_path / "store.db")
+        raw = sqlite3.connect(path)
+        raw.executescript(
+            "CREATE TABLE store_meta (key TEXT PRIMARY KEY,"
+            " value TEXT NOT NULL);"
+            "INSERT INTO store_meta VALUES ('shards', '4');"
+            "CREATE TABLE value_index (event_uuid TEXT NOT NULL,"
+            " attribute_uuid TEXT NOT NULL, value TEXT NOT NULL,"
+            " type TEXT NOT NULL, correlatable INTEGER NOT NULL,"
+            " shard INTEGER NOT NULL);")
+        raw.close()
+        with pytest.raises(StorageError, match="value_index"):
+            MispStore(path)
+        with pytest.raises(StorageError, match="value_index"):
+            MispStore(path, shards=4)
+        assert not (tmp_path / "store.db.shard-00").exists()
+
+
+#: The single-file relational schema as released before the attributes
+#: table moved into the catalog (note the cascading foreign key).
+LEGACY_SINGLE_FILE_SCHEMA = """
+CREATE TABLE events (
+    uuid TEXT PRIMARY KEY,
+    info TEXT NOT NULL,
+    date TEXT NOT NULL,
+    org TEXT NOT NULL,
+    threat_level_id INTEGER NOT NULL,
+    analysis INTEGER NOT NULL,
+    distribution INTEGER NOT NULL,
+    published INTEGER NOT NULL,
+    timestamp INTEGER NOT NULL,
+    blob TEXT NOT NULL
+);
+CREATE TABLE attributes (
+    uuid TEXT PRIMARY KEY,
+    event_uuid TEXT NOT NULL REFERENCES events(uuid) ON DELETE CASCADE,
+    type TEXT NOT NULL,
+    category TEXT NOT NULL,
+    value TEXT NOT NULL,
+    to_ids INTEGER NOT NULL,
+    correlatable INTEGER NOT NULL,
+    timestamp INTEGER NOT NULL
+);
+CREATE INDEX idx_attributes_value_type ON attributes(value, type);
+CREATE INDEX idx_attributes_event ON attributes(event_uuid);
+CREATE TABLE event_tags (
+    event_uuid TEXT NOT NULL REFERENCES events(uuid) ON DELETE CASCADE,
+    name TEXT NOT NULL,
+    UNIQUE(event_uuid, name)
+);
+CREATE TABLE correlations (
+    source_attribute TEXT NOT NULL,
+    target_attribute TEXT NOT NULL,
+    source_event TEXT NOT NULL,
+    target_event TEXT NOT NULL,
+    value TEXT NOT NULL,
+    UNIQUE(source_attribute, target_attribute)
+);
+"""
