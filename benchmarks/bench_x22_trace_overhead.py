@@ -25,9 +25,7 @@ ATTEMPTS = 3
 
 def build(obs_on: bool) -> ContextAwareOSINTPlatform:
     config = PlatformConfig(seed=22, feed_entries=ENTRIES,
-                            provenance_enabled=obs_on,
-                            structured_log_enabled=obs_on,
-                            slo_enabled=obs_on)
+                            trace_enabled=obs_on)
     return ContextAwareOSINTPlatform.build_default(config)
 
 
@@ -97,9 +95,7 @@ def test_bench_x22_cycle(benchmark, obs_on):
     def cycle():
         platform = ContextAwareOSINTPlatform.build_default(
             PlatformConfig(seed=22, feed_entries=20,
-                           provenance_enabled=obs_on,
-                           structured_log_enabled=obs_on,
-                           slo_enabled=obs_on))
+                           trace_enabled=obs_on))
         return platform.run_cycle()
 
     report = benchmark.pedantic(cycle, rounds=3, iterations=1)

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..clock import Clock, SimulatedClock
 from ..cvss import CveDatabase
@@ -125,6 +133,26 @@ class CycleReport:
 
 
 @dataclass
+class _Cycle:
+    """One cycle's report plus the hand-offs between its stages."""
+
+    number: int
+    report: CycleReport
+    enrichments: List[EnrichmentResult] = field(default_factory=list)
+    riocs: List[ReducedIoc] = field(default_factory=list)
+
+
+class _Stage(NamedTuple):
+    """One cycle stage: span name, stage method, absorbed sub-stages and an
+    optional guard (a skipped stage opens no span)."""
+
+    name: str
+    run: Callable[..., None]
+    absorbs: Tuple[str, ...] = ()
+    when: Optional[Callable[..., bool]] = None
+
+
+@dataclass
 class PlatformConfig:
     """Build-time knobs for the default wiring."""
 
@@ -134,23 +162,14 @@ class PlatformConfig:
     sensor_alarm_rate: float = 0.25
     sensor_steps_per_cycle: int = 6
     drop_irrelevant_text: bool = False
-    #: Filter known-benign values (public resolvers, RFC1918, top sites).
-    use_warninglists: bool = True
-    #: Transient-failure retries per share transport attempt.
-    share_retries: int = 2
     org: str = "CAOP"
     #: Record metrics and per-stage spans (disable only to measure the
     #: telemetry overhead itself; see bench_x13_obs_overhead).
     metrics_enabled: bool = True
-    #: Record per-IoC lineage rows into the store's provenance table
-    #: (``None`` follows ``metrics_enabled``; see docs/OBSERVABILITY.md).
-    provenance_enabled: Optional[bool] = None
-    #: Emit structured JSON log records (``None`` follows ``metrics_enabled``).
-    structured_log_enabled: Optional[bool] = None
-    #: Evaluate SLO burn rates each cycle (``None`` follows ``metrics_enabled``).
-    slo_enabled: Optional[bool] = None
-    #: Ring-buffer capacity of the structured log.
-    log_capacity: int = 4096
+    #: Record per-IoC provenance rows, emit structured JSON log records and
+    #: evaluate SLO burn rates each cycle (``None`` follows
+    #: ``metrics_enabled``; see docs/OBSERVABILITY.md).
+    trace_enabled: Optional[bool] = None
     #: Optional JSONL sink the structured log also appends to.
     log_file: Optional[str] = None
     #: Optional SQLite path for the MISP store (``None`` keeps it in-memory).
@@ -160,15 +179,7 @@ class PlatformConfig:
     #: Hash-shard count of the SQLite MISP store (``1`` = one file; ``>= 2``
     #: = a catalog plus that many shard files — see docs/PERFORMANCE.md).
     store_shards: int = 1
-    #: Transient-failure retries per feed fetch (and per store batch).
-    fetch_retries: int = 2
-    store_retries: int = 2
-    #: Backoff shape for those retries; jitter is deterministic per
-    #: (feed, attempt) — see docs/RESILIENCE.md.
-    retry_base_delay_seconds: float = 0.5
-    retry_max_delay_seconds: float = 60.0
-    retry_jitter: float = 0.5
-    #: How backoff is applied: "virtual" advances the SimulatedClock,
+    #: How retry backoff is applied: "virtual" advances the SimulatedClock,
     #: "real" sleeps wall-clock, "none" records without moving any clock.
     backoff_mode: str = "virtual"
     #: Consecutive fetch failures before a feed's breaker opens, and how
@@ -181,17 +192,6 @@ class PlatformConfig:
     #: Run the decay-compaction full pass every N cycles (<= 0 disables the
     #: compact stage entirely; see docs/PERFORMANCE.md).
     compaction_every_cycles: int = 25
-    #: Additional rate limit: minimum platform-clock seconds between
-    #: compaction runs (virtual seconds under the simulated clock).
-    compaction_min_interval_seconds: float = 0.0
-    #: Whether compaction deletes expired events (False = re-score only).
-    compaction_purge: bool = True
-    #: Maintain the incremental dashboard/report rollups each cycle.
-    rollups_enabled: bool = True
-    #: Snapshot+delta fan-out knobs: replayable delta history per room and
-    #: the per-subscriber queue bound (the load-shedding high-water mark).
-    fanout_history: int = 64
-    fanout_max_pending: int = 64
     #: Simulated fan-out subscribers attached to the rIoC room at build
     #: time (``caop run --subscribers``); pumped once per cycle.
     fanout_subscribers: int = 0
@@ -218,13 +218,13 @@ class ContextAwareOSINTPlatform:
                  log: Optional[StructuredLog] = None,
                  slo: Optional[SloEngine] = None,
                  compaction_every_cycles: int = 25,
-                 compaction_min_interval_seconds: float = 0.0,
-                 compaction_purge: bool = True,
-                 rollups_enabled: bool = True,
                  fanout_subscribers: int = 0) -> None:
+        from ..dashboard.geo import GeoSummaryView
+        from ..dashboard.views import CorrelationGraphView, KeywordSummaryView
         from .compaction import CompactionStage
         from .decay import ScoreDecayEngine
         from .deltas import RollupGroup
+        from .report import IntelReportBuilder
         from .sightings import SightingProcessor
 
         self.osint_collector = osint_collector
@@ -242,35 +242,22 @@ class ContextAwareOSINTPlatform:
         #: Rate-limited decay full pass (the ``compact`` cycle stage).
         self.compaction = CompactionStage(
             misp.store, decay=self.decay, clock=clock,
-            every_cycles=compaction_every_cycles,
-            min_interval_seconds=compaction_min_interval_seconds,
-            purge=compaction_purge, metrics=self.metrics)
+            every_cycles=compaction_every_cycles, metrics=self.metrics)
         #: Incrementally-maintained materialized views over the store's
         #: change feed, brought current once per cycle (``rollup`` stage)
         #: and checkpointed at :meth:`checkpoint`.
         self.rollups = RollupGroup(misp.store)
-        self.graph_view = None
-        self.keyword_view = None
-        self.geo_view = None
-        self.report_builder = None
-        if rollups_enabled:
-            from ..dashboard.geo import GeoSummaryView
-            from ..dashboard.views import (
-                CorrelationGraphView,
-                KeywordSummaryView,
-            )
-            from .report import IntelReportBuilder
-            self.graph_view = self.rollups.add(
-                CorrelationGraphView(misp.store, persistent=True))
-            self.keyword_view = self.rollups.add(
-                KeywordSummaryView(misp.store, persistent=True))
-            self.geo_view = GeoSummaryView()
-            self.rollups.add(
-                self.geo_view.store_rollup(misp.store, persistent=True))
-            self.report_builder = IntelReportBuilder(
-                misp.store, clock=clock, decay=self.decay,
-                incremental=True, persistent=True)
-            self.rollups.add(self.report_builder.rollup)
+        self.graph_view = self.rollups.add(
+            CorrelationGraphView(misp.store, persistent=True))
+        self.keyword_view = self.rollups.add(
+            KeywordSummaryView(misp.store, persistent=True))
+        self.geo_view = GeoSummaryView()
+        self.rollups.add(
+            self.geo_view.store_rollup(misp.store, persistent=True))
+        self.report_builder = IntelReportBuilder(
+            misp.store, clock=clock, decay=self.decay,
+            incremental=True, persistent=True)
+        self.rollups.add(self.report_builder.rollup)
         #: Simulated protocol-driving subscribers on the rIoC fan-out room
         #: (``caop run --subscribers``), pumped once per fanout stage.
         self.fanout_clients: List = []
@@ -355,18 +342,16 @@ class ContextAwareOSINTPlatform:
         descriptors = list(descriptors)
         metrics = MetricsRegistry(enabled=config.metrics_enabled)
         tracer = Tracer(metrics=metrics, enabled=config.metrics_enabled)
-        provenance_on = config.metrics_enabled \
-            if config.provenance_enabled is None else config.provenance_enabled
-        log_on = config.metrics_enabled \
-            if config.structured_log_enabled is None \
-            else config.structured_log_enabled
-        slo_on = config.metrics_enabled \
-            if config.slo_enabled is None else config.slo_enabled
-        log = StructuredLog(clock=clock, capacity=config.log_capacity,
-                            sink_path=config.log_file, enabled=log_on)
+        trace_on = config.metrics_enabled \
+            if config.trace_enabled is None else config.trace_enabled
+        log = StructuredLog(clock=clock, sink_path=config.log_file,
+                            enabled=trace_on)
         if config.fault_injector is not None and transport.fault_injector is None:
             transport.fault_injector = config.fault_injector
         sleeper = sleeper_for(config.backoff_mode, clock)
+        # Stateless: each delay is keyed on (seed, key, attempt), so the
+        # fetcher, the store and the gateway can share one policy.
+        retry_policy = RetryPolicy(max_retries=2, seed=config.seed)
         deadletters = DeadLetterQueue(clock=clock, metrics=metrics)
         breakers = CircuitBreakerBoard(
             clock=clock,
@@ -375,12 +360,7 @@ class ContextAwareOSINTPlatform:
             metrics=metrics)
         fetcher = FeedFetcher(
             transport, clock=clock, metrics=metrics,
-            retry_policy=RetryPolicy(
-                max_retries=config.fetch_retries,
-                base_delay_seconds=config.retry_base_delay_seconds,
-                max_delay_seconds=config.retry_max_delay_seconds,
-                jitter=config.retry_jitter,
-                seed=config.seed),
+            retry_policy=retry_policy,
             breakers=breakers,
             sleeper=sleeper,
             tracer=tracer)
@@ -397,19 +377,14 @@ class ContextAwareOSINTPlatform:
                               if config.store_shards > 1 else None)
         misp = MispInstance(
             org=config.org, store=store, metrics=metrics, clock=clock,
-            store_retry_policy=RetryPolicy(
-                max_retries=config.store_retries,
-                base_delay_seconds=config.retry_base_delay_seconds,
-                max_delay_seconds=config.retry_max_delay_seconds,
-                jitter=config.retry_jitter,
-                seed=config.seed),
+            store_retry_policy=retry_policy,
             sleeper=sleeper,
             deadletters=deadletters,
             fault_injector=config.fault_injector)
         provenance = ProvenanceRecorder(
             store=misp.store, clock=clock, org=config.org,
-            enabled=provenance_on)
-        slo = SloEngine(metrics=metrics) if slo_on else None
+            enabled=trace_on)
+        slo = SloEngine(metrics=metrics) if trace_on else None
         sensors = SensorNetwork(inventory, clock=clock, seed=config.seed,
                                 alarm_rate=config.sensor_alarm_rate)
         infra_collector = InfrastructureDataCollector(
@@ -418,7 +393,7 @@ class ContextAwareOSINTPlatform:
         osint_collector = OsintDataCollector(
             fetcher, descriptors, misp=misp, clock=clock,
             drop_irrelevant_text=config.drop_irrelevant_text,
-            warninglists=WarninglistIndex() if config.use_warninglists else None,
+            warninglists=WarninglistIndex(),
             metrics=metrics, tracer=tracer,
             deadletters=deadletters,
             fault_injector=config.fault_injector,
@@ -429,21 +404,13 @@ class ContextAwareOSINTPlatform:
             cve_db=CveDatabase(), clock=clock, metrics=metrics,
             tracer=tracer, provenance=provenance, log=log)
         rioc_generator = RIocGenerator(inventory, clock=clock, metrics=metrics)
-        dashboard = DashboardServer(
-            inventory, metrics=metrics,
-            fanout_history=config.fanout_history,
-            fanout_max_pending=config.fanout_max_pending)
+        dashboard = DashboardServer(inventory, metrics=metrics)
         if config.fault_injector is not None:
             dashboard.sio.broker.fault_injector = config.fault_injector
         from ..sharing import SharingGateway
         gateway = SharingGateway(
             misp,
-            retry_policy=RetryPolicy(
-                max_retries=config.share_retries,
-                base_delay_seconds=config.retry_base_delay_seconds,
-                max_delay_seconds=config.retry_max_delay_seconds,
-                jitter=config.retry_jitter,
-                seed=config.seed),
+            retry_policy=retry_policy,
             breakers=CircuitBreakerBoard(
                 clock=clock,
                 failure_threshold=config.breaker_failure_threshold,
@@ -474,19 +441,15 @@ class ContextAwareOSINTPlatform:
             log=log,
             slo=slo,
             compaction_every_cycles=config.compaction_every_cycles,
-            compaction_min_interval_seconds=(
-                config.compaction_min_interval_seconds),
-            compaction_purge=config.compaction_purge,
-            rollups_enabled=config.rollups_enabled,
             fanout_subscribers=config.fanout_subscribers,
         )
 
     def run_cycle(self) -> CycleReport:
-        """One full platform round: sense -> collect -> enrich -> reduce -> push.
+        """One full platform round: every stage of :attr:`STAGES`, in order.
 
-        Each stage runs inside a named span; the resulting per-stage timing
-        breakdown lands on :attr:`CycleReport.timings` and in the
-        ``caop_span_seconds`` histogram of :attr:`metrics`.
+        Each stage runs inside a span named after it; the resulting
+        per-stage timing breakdown lands on :attr:`CycleReport.timings` and
+        in the ``caop_span_seconds`` histogram of :attr:`metrics`.
 
         Stages are *isolated*: a stage that raises
         :class:`~repro.errors.ReproError` is recorded under
@@ -495,134 +458,21 @@ class ContextAwareOSINTPlatform:
         Unexpected (non-``ReproError``) exceptions still propagate — those
         are bugs, not faults.
         """
-        report = CycleReport(collection=CollectionReport())
         cycle_no = len(self.history) + 1
+        cycle = _Cycle(cycle_no, CycleReport(collection=CollectionReport()))
+        report = cycle.report
         self.log.begin_cycle(cycle_no)
         self.provenance.begin_cycle(cycle_no)
         self.log.emit("cycle", "cycle_start")
         with self.tracer.span("cycle") as cycle_span:
-            # 1. Infrastructure side: sensors tick, alarms reach the dashboard,
-            #    internal IoCs reach MISP (stored only; no zmq feed).
-            new_alarms: List = []
-            infra_event = None
-            try:
-                with self.tracer.span("sense"):
-                    new_alarms = self.sensors.tick(
-                        steps=self.sensor_steps_per_cycle)
-                    for alarm in new_alarms:
-                        self.dashboard.push_alarm(alarm)
-                    infra_event = self.infra_collector.ship_to_misp()
-            except ReproError as exc:
-                report.stage_errors["sense"] = str(exc)
-
-            # 2. OSINT side: collect feeds into cIoCs (MISP publishes each on
-            #    zmq).  The collector opens its own child spans (fetch ->
-            #    normalize -> dedup -> filter -> correlate -> compose -> store).
-            #    A store-stage failure is absorbed inside collect() (the
-            #    events are quarantined) and surfaces as ``store_error``.
-            try:
-                with self.tracer.span("collect"):
-                    _ciocs, collection = self.osint_collector.collect()
-                report.collection = collection
-                if collection.store_error is not None:
-                    report.stage_errors["store"] = collection.store_error
-            except ReproError as exc:
-                report.stage_errors["collect"] = str(exc)
-
-            # 3. Heuristic analysis: drain the feed, score, enrich.
-            enrichments: List[EnrichmentResult] = []
-            try:
-                with self.tracer.span("enrich"):
-                    enrichments = self.heuristics.process_pending()
-            except ReproError as exc:
-                report.stage_errors["enrich"] = str(exc)
-
-            # 4. Reduction + visualization: rIoCs to the dashboard sockets.
-            report.new_alarms = len(new_alarms)
-            report.infrastructure_events = 1 if infra_event is not None else 0
-            report.eiocs_created = len(enrichments)
-            riocs: List[ReducedIoc] = []
-            try:
-                with self.tracer.span("reduce"):
-                    for enrichment in enrichments:
-                        report.scores.append(enrichment.score.score)
-                        rioc = self.rioc_generator.generate(enrichment.eioc)
-                        if rioc is None:
-                            report.riocs_suppressed += 1
-                        else:
-                            riocs.append(rioc)
-                            if self.provenance.enabled:
-                                self.provenance.record(
-                                    "reduced-into", enrichment.eioc.uuid,
-                                    actor="rioc-generator",
-                                    detail=f"nodes={','.join(rioc.nodes)} "
-                                           f"term={rioc.matched_term}")
-            except ReproError as exc:
-                report.stage_errors["reduce"] = str(exc)
-            try:
-                with self.tracer.span("push"):
-                    for rioc in riocs:
-                        report.riocs_created += 1
-                        report.dashboard_pushes += self.dashboard.push_rioc(rioc)
-            except ReproError as exc:
-                report.stage_errors["push"] = str(exc)
-
-            # 5. Sharing: delta-sync fan-out of new/changed eIoCs to the
-            #    registered external entities (no-op until any register).
-            if self.gateway is not None and self.gateway.entities:
+            for stage in self.STAGES:
+                if stage.when is not None and not stage.when(self):
+                    continue
                 try:
-                    with self.tracer.span("share"):
-                        share_report = self.gateway.sync_cycle()
-                    report.shares_sent = share_report.shared
-                    report.share_failures = (share_report.failed
-                                             + share_report.breaker_skipped)
+                    with self.tracer.span(stage.name):
+                        stage.run(self, cycle)
                 except ReproError as exc:
-                    report.stage_errors["share"] = str(exc)
-
-            # 6. Compaction: the rate-limited decay full pass (usually a
-            #    skip).  Runs *before* the rollup stage so any purge lands
-            #    in the change feed the rollups consume this same cycle.
-            try:
-                with self.tracer.span("compact"):
-                    compaction = self.compaction.maybe_run(cycle_no)
-                report.compacted = compaction.ran
-                report.events_purged = compaction.purged
-            except ReproError as exc:
-                report.stage_errors["compact"] = str(exc)
-
-            # 7. Rollup maintenance: bring the materialized dashboard and
-            #    report views current off the change feed.  On a quiet cycle
-            #    this is a single empty changes_since query.
-            try:
-                with self.tracer.span("rollup"):
-                    report.deltas_consumed = self.rollups.refresh()
-                    if report.compacted:
-                        # Compaction cadence doubles as the checkpoint
-                        # cadence: persist rollup state while the store is
-                        # already paying a write burst.
-                        self.rollups.save_all()
-            except ReproError as exc:
-                report.stage_errors["rollup"] = str(exc)
-
-            # 8. Fan-out: flush the snapshot+delta rooms the dashboard
-            #    materializes for massive subscriber counts (one delta
-            #    render per dirty room, however many subscribers).  View-
-            #    room syncing is gated on actual activity so a quiet cycle
-            #    adds no SQL, and flushing clean rooms renders nothing.
-            try:
-                with self.tracer.span("fanout"):
-                    if (report.deltas_consumed > 0 or report.new_alarms
-                            or report.riocs_created):
-                        self.dashboard.sync_view_rooms(
-                            self.graph_view, self.keyword_view)
-                    flush = self.dashboard.flush_fanout()
-                    report.fanout_deltas = flush.deltas
-                    report.fanout_shed = flush.shed_messages
-                    report.fanout_resyncs = flush.resyncs
-                    for client in self.fanout_clients:
-                        client.pump()
-            except ReproError as exc:
-                report.stage_errors["fanout"] = str(exc)
+                    report.stage_errors[stage.name] = str(exc)
         report.idle = (not report.degraded
                        and report.collection.ciocs_created == 0
                        and report.eiocs_created == 0
@@ -654,7 +504,7 @@ class ContextAwareOSINTPlatform:
             fanout=report.fanout_deltas,
             idle=report.idle)
         # Share staleness streak: cycles in which the fan-out only failed.
-        if self.gateway is not None and self.gateway.entities:
+        if self._sharing():
             if report.shares_sent > 0:
                 self._share_stale_cycles = 0
             elif report.share_failures > 0:
@@ -682,6 +532,125 @@ class ContextAwareOSINTPlatform:
         self.dashboard.update_health(health)
         return report
 
+    # -- stages: each writes its own report fields ---------------------------
+    # A stage looks its component method up when it runs (never a bound
+    # method captured at build time), so wrappers installed on the
+    # component instances after build still see every call.
+
+    def _sense(self, cycle: _Cycle) -> None:
+        """Sensors tick, alarms reach the dashboard, and internal IoCs reach
+        MISP (stored only; no zmq feed)."""
+        alarms = self.sensors.tick(steps=self.sensor_steps_per_cycle)
+        cycle.report.new_alarms = len(alarms)
+        for alarm in alarms:
+            self.dashboard.push_alarm(alarm)
+        if self.infra_collector.ship_to_misp() is not None:
+            cycle.report.infrastructure_events = 1
+
+    def _collect(self, cycle: _Cycle) -> None:
+        """Feeds into cIoCs (MISP publishes each on zmq).
+
+        The collector opens its own child spans (fetch -> normalize ->
+        dedup -> filter -> correlate -> compose -> store).  It absorbs a
+        store failure (the events are quarantined), which surfaces here as
+        the ``store`` stage error.
+        """
+        _ciocs, collection = self.osint_collector.collect()
+        cycle.report.collection = collection
+        if collection.store_error is not None:
+            cycle.report.stage_errors["store"] = collection.store_error
+
+    def _enrich(self, cycle: _Cycle) -> None:
+        """Heuristic analysis: drain the feed, score, enrich."""
+        cycle.enrichments = self.heuristics.process_pending()
+        cycle.report.eiocs_created = len(cycle.enrichments)
+
+    def _reduce(self, cycle: _Cycle) -> None:
+        """Reduce each eIoC to an rIoC for the dashboard (or suppress it)."""
+        report = cycle.report
+        for enrichment in cycle.enrichments:
+            report.scores.append(enrichment.score.score)
+            rioc = self.rioc_generator.generate(enrichment.eioc)
+            if rioc is None:
+                report.riocs_suppressed += 1
+                continue
+            cycle.riocs.append(rioc)
+            if self.provenance.enabled:
+                self.provenance.record(
+                    "reduced-into", enrichment.eioc.uuid,
+                    actor="rioc-generator",
+                    detail=f"nodes={','.join(rioc.nodes)} "
+                           f"term={rioc.matched_term}")
+
+    def _push(self, cycle: _Cycle) -> None:
+        """rIoCs to the dashboard sockets."""
+        report = cycle.report
+        for rioc in cycle.riocs:
+            report.riocs_created += 1
+            report.dashboard_pushes += self.dashboard.push_rioc(rioc)
+
+    def _sharing(self) -> bool:
+        """Whether any external entity is registered (the share guard)."""
+        return self.gateway is not None and bool(self.gateway.entities)
+
+    def _share(self, cycle: _Cycle) -> None:
+        """Delta-sync fan-out of new/changed eIoCs to external entities."""
+        shared = self.gateway.sync_cycle()
+        cycle.report.shares_sent = shared.shared
+        cycle.report.share_failures = shared.failed + shared.breaker_skipped
+
+    def _compact(self, cycle: _Cycle) -> None:
+        """The rate-limited decay full pass (usually a skip).
+
+        Runs *before* the rollup stage so any purge lands in the change
+        feed the rollups consume this same cycle.
+        """
+        compaction = self.compaction.maybe_run(cycle.number)
+        cycle.report.compacted = compaction.ran
+        cycle.report.events_purged = compaction.purged
+
+    def _rollup(self, cycle: _Cycle) -> None:
+        """Bring the materialized dashboard and report views current off the
+        change feed (one empty ``changes_since`` query on a quiet cycle)."""
+        cycle.report.deltas_consumed = self.rollups.refresh()
+        if cycle.report.compacted:
+            # Compaction cadence doubles as the checkpoint cadence: persist
+            # rollup state while the store is already paying a write burst.
+            self.rollups.save_all()
+
+    def _fanout(self, cycle: _Cycle) -> None:
+        """Flush the snapshot+delta rooms (one delta render per dirty room,
+        however many subscribers).
+
+        View-room syncing is gated on actual activity so a quiet cycle adds
+        no SQL, and flushing clean rooms renders nothing.
+        """
+        report = cycle.report
+        if report.deltas_consumed > 0 or report.new_alarms \
+                or report.riocs_created:
+            self.dashboard.sync_view_rooms(self.graph_view, self.keyword_view)
+        flush = self.dashboard.flush_fanout()
+        report.fanout_deltas = flush.deltas
+        report.fanout_shed = flush.shed_messages
+        report.fanout_resyncs = flush.resyncs
+        for client in self.fanout_clients:
+            client.pump()
+
+    #: The cycle, in run order.  Each name is the stage's span, its key in
+    #: ``stage_errors`` and its ``stage:<name>`` health component; ``store``
+    #: is the collect sub-stage whose failure collect() absorbs.
+    STAGES = (
+        _Stage("sense", _sense),
+        _Stage("collect", _collect, absorbs=("store",)),
+        _Stage("enrich", _enrich),
+        _Stage("reduce", _reduce),
+        _Stage("push", _push),
+        _Stage("share", _share, when=_sharing),
+        _Stage("compact", _compact),
+        _Stage("rollup", _rollup),
+        _Stage("fanout", _fanout),
+    )
+
     def health(self) -> PlatformHealth:
         """Snapshot component health: feed breakers, pipeline stages, DLQ.
 
@@ -704,8 +673,9 @@ class ContextAwareOSINTPlatform:
                     detail=f"breaker {state}"))
         last = self.history[-1] if self.history else None
         prev = self.history[-2] if len(self.history) > 1 else None
-        for stage in ("sense", "collect", "store", "enrich", "reduce",
-                      "push", "share", "compact", "rollup", "fanout"):
+        stages = [name for stage in self.STAGES
+                  for name in (stage.name, *stage.absorbs)]
+        for stage in stages:
             if last is not None and stage in last.stage_errors:
                 repeated = prev is not None and stage in prev.stage_errors
                 components.append(ComponentHealth(

@@ -11,10 +11,11 @@ from repro.core import ContextAwareOSINTPlatform, PlatformConfig
 from repro.core.collector import OsintDataCollector
 from repro.core.ioc import TAG_CIOC
 from repro.dashboard import render_health
-from repro.errors import SharingError
+from repro.errors import ReproError, SharingError
 from repro.feeds import FeedDescriptor, FeedFetcher, SimulatedTransport
 from repro.feeds.model import FeedFormat
 from repro.feeds.scheduler import FeedScheduler
+from repro.misp import MispInstance
 from repro.resilience import (
     BreakerState,
     CircuitBreakerBoard,
@@ -23,6 +24,7 @@ from repro.resilience import (
     FaultPlan,
     FaultRule,
 )
+from repro.sharing import ExternalEntity
 
 
 def _platform(injector=None, **overrides):
@@ -103,6 +105,77 @@ class TestStageIsolation:
         text = render_health(platform.dashboard.health)
         assert "Platform health: OK" in text
         assert "stage:collect" in text
+
+
+#: Cycle stage -> (platform attribute, method) the stage calls into.
+STAGE_ENTRY_POINTS = {
+    "sense": ("sensors", "tick"),
+    "collect": ("osint_collector", "collect"),
+    "enrich": ("heuristics", "process_pending"),
+    "reduce": ("rioc_generator", "generate"),
+    "push": ("dashboard", "push_rioc"),
+    "share": ("gateway", "sync_cycle"),
+    "compact": ("compaction", "maybe_run"),
+    "rollup": ("rollups", "refresh"),
+    "fanout": ("dashboard", "flush_fanout"),
+}
+STAGES = list(STAGE_ENTRY_POINTS)
+#: Stages whose entry point runs every cycle; reduce and push call theirs
+#: once per eIoC / rIoC, so an upstream failure can leave them no work.
+UNCONDITIONAL = {"sense", "collect", "enrich", "share", "compact", "rollup",
+                 "fanout"}
+
+
+def _sharing_platform():
+    platform = _platform()
+    peer = MispInstance(org="PEER", clock=platform.clock)
+    platform.gateway.register(ExternalEntity(
+        name="peer", transport="misp", misp_instance=peer))
+    return platform
+
+
+class TestEveryStageIsolated:
+    @pytest.mark.parametrize("name", STAGES)
+    def test_failing_stage_is_isolated_and_escalates(self, name, monkeypatch):
+        platform = _sharing_platform()
+        calls = []
+        for stage, (owner_name, method) in STAGE_ENTRY_POINTS.items():
+            owner = getattr(platform, owner_name)
+            original = getattr(owner, method)
+            if stage == name:
+                def entry(*args, **kwargs):
+                    raise ReproError(f"{name} boom")
+            else:
+                def entry(*args, _stage=stage, _original=original, **kwargs):
+                    calls.append(_stage)
+                    return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, method, entry)
+
+        report = platform.run_cycle()
+        assert report.stage_errors == {name: f"{name} boom"}
+        later = STAGES[STAGES.index(name) + 1:]
+        assert set(later) <= set(report.timings)
+        assert set(later) & UNCONDITIONAL <= set(calls)
+        assert platform.health().status_of(f"stage:{name}") == "degraded"
+
+        report = platform.run_cycle()
+        assert report.stage_errors == {name: f"{name} boom"}
+        assert platform.health().status_of(f"stage:{name}") == "failing"
+
+
+class TestStageTable:
+    def test_health_lists_every_stage_in_cycle_order(self):
+        platform = _platform()
+        platform.run_cycle()
+        stages = [c.component.split(":", 1)[1]
+                  for c in platform.health().components
+                  if c.component.startswith("stage:")]
+        assert stages == ["sense", "collect", "store", "enrich", "reduce",
+                          "push", "share", "compact", "rollup", "fanout"]
+
+    def test_share_span_only_once_an_entity_is_registered(self):
+        assert "share" not in _platform().run_cycle().timings
+        assert "share" in _sharing_platform().run_cycle().timings
 
 
 class TestStoreOutage:

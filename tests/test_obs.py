@@ -329,7 +329,7 @@ class TestPlatformTelemetry:
         assert report.collection.ciocs_created > 0
 
 
-class TestWorkerPoolSpans:
+class TestPerItemSpans:
     """Regression: per-feed and per-event spans must nest under the cycle
     root, not become orphan root traces."""
 

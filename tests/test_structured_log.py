@@ -159,8 +159,7 @@ class TestPlatformLogStream:
         assert first.log.to_jsonl() == second.log.to_jsonl()
 
     def test_structured_log_disabled_leaves_stream_empty(self):
-        config = PlatformConfig(feed_entries=12,
-                                structured_log_enabled=False)
+        config = PlatformConfig(feed_entries=12, trace_enabled=False)
         platform = ContextAwareOSINTPlatform.build_default(config)
         platform.run_cycle()
         assert platform.log.records() == []
