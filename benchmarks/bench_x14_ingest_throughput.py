@@ -10,12 +10,16 @@ The collect→store hot path has two batching wings (docs/PERFORMANCE.md):
 This bench measures both against the per-event path and guards the win: the
 batched store+correlate path must issue ≥30% fewer SQL round trips than the
 per-event path — while producing byte-identical stored events and identical
-correlation edges.  CI runs it as a regression gate (``make bench-ingest``).
+correlation edges.  It also holds the cycle's decode budget: a cold
+``run_cycle`` hands the events it writes to enrich and the rollups in
+memory, so it decodes no stored payload.  CI runs it as a regression gate
+(``make bench-ingest``).
 """
 
 import pytest
 
 from repro.clock import SimulatedClock
+from repro.core import ContextAwareOSINTPlatform, PlatformConfig
 from repro.feeds import (
     FeedFetcher,
     IndicatorPool,
@@ -127,6 +131,24 @@ def test_x14_batched_correlations_match_serial_instance():
     batched = MispInstance(org="batched")
     batched.add_events(batch, publish_feed=False)
     assert batched.store.correlation_count() == serial.store.correlation_count()
+
+
+def test_x14_cold_cycle_decodes_no_payload():
+    """Collect writes, enrich and the rollups read it back from memory."""
+    platform = ContextAwareOSINTPlatform.build_default(
+        PlatformConfig(seed=SEED, feed_entries=FEED_ENTRIES))
+    store = platform.misp.store
+    report = platform.run_cycle()
+    print_table(
+        "X14: cold run_cycle, payload decodes",
+        "cIoCs / eIoCs / deltas / SQL statements / decodes",
+        [f"{report.collection.ciocs_created:5d} {report.eiocs_created:5d} "
+         f"{report.deltas_consumed:5d} {store.sql_statements:5d} "
+         f"{store.payloads_deserialized:5d}"])
+    assert not report.degraded
+    assert report.eiocs_created > 0 and report.deltas_consumed > 0
+    assert store.payloads_deserialized == 0, (
+        f"a cold cycle decoded {store.payloads_deserialized} payloads")
 
 
 def test_bench_x14_fetch(benchmark):

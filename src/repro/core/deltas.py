@@ -15,6 +15,8 @@ re-scanning stored state every cycle:
 - :class:`StoreRollup` — base class for incrementally-maintained
   materialized views: ``refresh()`` reads the feed once, batch-loads only
   the changed events, and hands them to the subclass's ``apply_delta``.
+  A caller that still holds the events it just wrote passes them as
+  ``written``; those are used as they are instead of fetched and decoded.
 - :class:`RollupGroup` — several rollups over one store sharing a single
   feed read and a single event fetch per cycle when their cursors align
   (the common case after the first cycle).
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..misp.model import MispEvent
 from ..misp.store import MispStore, StoreChange
@@ -73,7 +75,8 @@ def collapse_changes(changes: Sequence[StoreChange]) -> DeltaBatch:
     return batch
 
 
-def load_delta_events(store: MispStore, batch: DeltaBatch
+def load_delta_events(store: MispStore, batch: DeltaBatch,
+                      written: Optional[Mapping[str, MispEvent]] = None
                       ) -> Tuple[List[MispEvent], List[str]]:
     """Batch-fetch the events behind a delta (chunked, one round trip set).
 
@@ -81,11 +84,15 @@ def load_delta_events(store: MispStore, batch: DeltaBatch
     longer resolves (deleted after the feed window closed) is reported as
     deleted now — its own ``deleted`` feed row, processed later, is then a
     no-op, so consumers must treat deletes as idempotent.
+
+    Upserts found in ``written`` are taken as they are
+    (:meth:`MispStore.get_events`).  Deletes never consult it: a uuid
+    deleted in the window is in ``deleted``.
     """
     deleted = list(batch.deleted)
     if not batch.upserts:
         return [], deleted
-    fetched = store.get_events(batch.upserts)
+    fetched = store.get_events(batch.upserts, written)
     events: List[MispEvent] = []
     for uuid in batch.upserts:
         event = fetched.get(uuid)
@@ -170,13 +177,17 @@ class StoreRollup:
     def position(self) -> int:
         return self.cursor.position
 
-    def refresh(self, until_seq: Optional[int] = None) -> int:
-        """Consume everything past the cursor; returns feed rows consumed."""
+    def refresh(self, until_seq: Optional[int] = None,
+                written: Optional[Mapping[str, MispEvent]] = None) -> int:
+        """Consume everything past the cursor; returns feed rows consumed.
+
+        ``written``: see :func:`load_delta_events`.
+        """
         changes = self.cursor.read(until_seq=until_seq)
         if not changes:
             return 0
         batch = collapse_changes(changes)
-        events, deleted = load_delta_events(self.store, batch)
+        events, deleted = load_delta_events(self.store, batch, written)
         self.ingest(batch, events, deleted)
         return len(changes)
 
@@ -224,18 +235,23 @@ class RollupGroup:
         self.members.append(rollup)
         return rollup
 
-    def refresh(self) -> int:
-        """Bring every member current; returns feed rows consumed."""
+    def refresh(self,
+                written: Optional[Mapping[str, MispEvent]] = None) -> int:
+        """Bring every member current; returns feed rows consumed.
+
+        ``written``: see :func:`load_delta_events`.
+        """
         if not self.members:
             return 0
         positions = {rollup.position for rollup in self.members}
         if len(positions) > 1:
-            return max(rollup.refresh() for rollup in self.members)
+            return max(rollup.refresh(written=written)
+                       for rollup in self.members)
         changes = self.store.changes_since(positions.pop())
         if not changes:
             return 0
         batch = collapse_changes(changes)
-        events, deleted = load_delta_events(self.store, batch)
+        events, deleted = load_delta_events(self.store, batch, written)
         for rollup in self.members:
             rollup.ingest(batch, events, deleted)
         return len(changes)

@@ -8,9 +8,13 @@ calls for is already available to the dashboard.
 
 The enrich hot path is batched (docs/PERFORMANCE.md):
 
-1. **Drain** the feed into an ordered work list and batch-fetch the events
-   plus their correlation context in a handful of chunked queries
-   (:class:`EnrichmentContextCache`), instead of per-event round trips.
+1. **Drain** the feed into an ordered work list and resolve the events
+   plus their correlation context (:class:`EnrichmentContextCache`).  The
+   platform cycle hands down the events it wrote this cycle, so a drained
+   cIoC is taken from memory as the collector built it; only uuids it did
+   not write (peer pulls, dead-letter replays) are decoded from the store.
+   Correlations and infrastructure flags come from a handful of chunked
+   queries that decode nothing, instead of per-event round trips.
 2. **Score** each event in drain order — scoring is pure (STIX export +
    heuristic evaluation over prefetched context) and does not write the
    store.
@@ -24,13 +28,13 @@ The enrich hot path is batched (docs/PERFORMANCE.md):
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -118,7 +122,6 @@ class EnrichmentContextCache:
                  cve_db: Optional[CveDatabase] = None) -> None:
         self._store = store
         self._cve_db = cve_db
-        self._lock = threading.Lock()
         self._events: Dict[str, Optional[MispEvent]] = {}
         self._correlations: Dict[str, List[Dict[str, str]]] = {}
         self._infra_flags: Dict[str, bool] = {}
@@ -131,18 +134,20 @@ class EnrichmentContextCache:
         """A CveDatabase-shaped facade backed by this cache."""
         return _CachedCveView(self)
 
-    def prefetch(self, uuids: Sequence[str]) -> None:
+    def prefetch(self, uuids: Sequence[str],
+                 written: Optional[Mapping[str, MispEvent]] = None) -> None:
         """Batch-resolve events, correlations and partner infra flags.
 
         N events cost one chunked event fetch, one chunked correlation
         probe and one chunked tag lookup for the correlation partners —
-        instead of O(N + partners) single queries.
+        instead of O(N + partners) single queries.  Events in ``written``
+        are taken as they are (:meth:`MispStore.get_events`).
         """
         uuids = [uuid for uuid in dict.fromkeys(uuids)
                  if uuid not in self._events]
         if not uuids:
             return
-        fetched = self._store.get_events(uuids)
+        fetched = self._store.get_events(uuids, written)
         self._events.update(fetched)
         for uuid, event in fetched.items():
             self._infra_flags[uuid] = (
@@ -213,34 +218,35 @@ class EnrichmentContextCache:
     def cve_record(self, cve_id: str):
         """Memoized :meth:`CveDatabase.get` (None-db and miss both cached)."""
         key = cve_id.upper()
-        with self._lock:
-            if key in self._cves:
-                self.hits += 1
-                return self._cves[key]
+        if key in self._cves:
+            self.hits += 1
+            return self._cves[key]
         record = self._cve_db.get(key) if self._cve_db is not None else None
-        with self._lock:
-            self.misses += 1
-            self._cves[key] = record
+        self.misses += 1
+        self._cves[key] = record
         return record
 
     # -- lifecycle ------------------------------------------------------------
 
-    def invalidate(self, uuid: str) -> None:
-        """Drop every cached fact about one event.
+    def invalidate(self, *uuids: str) -> None:
+        """Drop every cached fact about the given events.
 
-        Also drops correlation snapshots of events linked *to* it, since a
-        new correlation edge appears on both sides.
+        Also drops correlation snapshots of events linked *to* any of them,
+        since a new correlation edge appears on both sides.  One pass over
+        the snapshots serves the whole batch.
         """
-        self._events.pop(uuid, None)
-        self._infra_flags.pop(uuid, None)
-        self._correlations.pop(uuid, None)
+        touched = set(uuids)
+        for uuid in touched:
+            self._events.pop(uuid, None)
+            self._infra_flags.pop(uuid, None)
+            self._correlations.pop(uuid, None)
         stale = [
             other for other, rows in self._correlations.items()
-            if any(uuid in (row["source_event"], row["target_event"])
-                   for row in rows)
+            if any(row["source_event"] in touched
+                   or row["target_event"] in touched for row in rows)
         ]
         for other in stale:
-            self._correlations.pop(other, None)
+            del self._correlations[other]
 
     def clear(self) -> None:
         """Forget everything (next access re-reads the store)."""
@@ -294,8 +300,15 @@ class HeuristicComponent:
         self._m_skipped = registry.counter(
             "caop_enrich_skipped_total", "Events ineligible for enrichment")
 
-    def process_pending(self) -> List[EnrichmentResult]:
-        """Drain the zmq feed and enrich every eligible cIoC as one batch."""
+    def process_pending(
+            self, written: Optional[Mapping[str, MispEvent]] = None
+    ) -> List[EnrichmentResult]:
+        """Drain the zmq feed and enrich every eligible cIoC as one batch.
+
+        ``written`` (uuid -> the store's last write of that event, held in
+        memory) lets drained uuids skip the store read; see
+        :meth:`EnrichmentContextCache.prefetch`.
+        """
         uuids: List[str] = []
         for topic, document in self._subscriber.drain():
             if topic != TOPIC_EVENT:
@@ -304,7 +317,7 @@ class HeuristicComponent:
             if not uuid:
                 uuid = MispEvent.from_dict(document).uuid
             uuids.append(uuid)
-        return self.enrich_many(uuids)
+        return self.enrich_many(uuids, written=written)
 
     def enrich(self, event_uuid: str,
                cache: Optional[EnrichmentContextCache] = None
@@ -318,14 +331,15 @@ class HeuristicComponent:
         return results[0] if results else None
 
     def enrich_many(self, event_uuids: Sequence[str],
-                    cache: Optional[EnrichmentContextCache] = None
+                    cache: Optional[EnrichmentContextCache] = None,
+                    written: Optional[Mapping[str, MispEvent]] = None
                     ) -> List[EnrichmentResult]:
         """Enrich a batch of stored events: prefetch, score, write back.
 
         Results come back in drain (input) order; later duplicates of a
         uuid are counted as skipped, matching the serial path where the
         first enrichment stamps the enriched tag and the second attempt
-        sees it.
+        sees it.  Events found in ``written`` are enriched in place.
         """
         order = list(dict.fromkeys(event_uuids))
         duplicates = len(event_uuids) - len(order)
@@ -334,7 +348,7 @@ class HeuristicComponent:
         if cache is None:
             cache = EnrichmentContextCache(
                 self._misp.store, cve_db=self._cve_db)
-        cache.prefetch(order)
+        cache.prefetch(order, written)
 
         # Phase 1: eligibility over the batched context.
         eligible: List[MispEvent] = []
@@ -381,8 +395,7 @@ class HeuristicComponent:
             plans.append(event)
         if plans:
             self._misp.apply_enrichments(plans)
-            for event in plans:
-                cache.invalidate(event.uuid)
+            cache.invalidate(*(event.uuid for event in plans))
             self._record_enrichment_lineage(results)
         return results
 

@@ -45,7 +45,7 @@ from ..infra import (
     SensorNetwork,
     paper_inventory,
 )
-from ..misp import MispInstance
+from ..misp import MispEvent, MispInstance
 from ..obs import (
     MetricsRegistry,
     NULL_LOG,
@@ -140,6 +140,12 @@ class _Cycle:
     report: CycleReport
     enrichments: List[EnrichmentResult] = field(default_factory=list)
     riocs: List[ReducedIoc] = field(default_factory=list)
+    #: uuid -> the event as this cycle last wrote it to the store.  Enrich
+    #: and the rollups take these from memory instead of decoding them
+    #: back.  A stage adds its events only once its write succeeded, and a
+    #: stage error empties the map (an event may have been changed in
+    #: memory without being written), so readers fall back to the store.
+    written: Dict[str, MispEvent] = field(default_factory=dict)
 
 
 class _Stage(NamedTuple):
@@ -473,6 +479,7 @@ class ContextAwareOSINTPlatform:
                         stage.run(self, cycle)
                 except ReproError as exc:
                     report.stage_errors[stage.name] = str(exc)
+                    cycle.written.clear()
         report.idle = (not report.degraded
                        and report.collection.ciocs_created == 0
                        and report.eiocs_created == 0
@@ -544,8 +551,10 @@ class ContextAwareOSINTPlatform:
         cycle.report.new_alarms = len(alarms)
         for alarm in alarms:
             self.dashboard.push_alarm(alarm)
-        if self.infra_collector.ship_to_misp() is not None:
+        event = self.infra_collector.ship_to_misp()
+        if event is not None:
             cycle.report.infrastructure_events = 1
+            cycle.written[event.uuid] = event
 
     def _collect(self, cycle: _Cycle) -> None:
         """Feeds into cIoCs (MISP publishes each on zmq).
@@ -553,17 +562,23 @@ class ContextAwareOSINTPlatform:
         The collector opens its own child spans (fetch -> normalize ->
         dedup -> filter -> correlate -> compose -> store).  It absorbs a
         store failure (the events are quarantined), which surfaces here as
-        the ``store`` stage error.
+        the ``store`` stage error, and then hands no event down.
         """
-        _ciocs, collection = self.osint_collector.collect()
+        ciocs, collection = self.osint_collector.collect()
         cycle.report.collection = collection
         if collection.store_error is not None:
             cycle.report.stage_errors["store"] = collection.store_error
+            cycle.written.clear()
+        else:
+            cycle.written.update((cioc.uuid, cioc) for cioc in ciocs)
 
     def _enrich(self, cycle: _Cycle) -> None:
-        """Heuristic analysis: drain the feed, score, enrich."""
-        cycle.enrichments = self.heuristics.process_pending()
+        """Heuristic analysis: drain the feed, score, enrich (the cycle's
+        own cIoCs are scored as collected, not read back)."""
+        cycle.enrichments = self.heuristics.process_pending(cycle.written)
         cycle.report.eiocs_created = len(cycle.enrichments)
+        cycle.written.update(
+            (result.eioc.uuid, result.eioc) for result in cycle.enrichments)
 
     def _reduce(self, cycle: _Cycle) -> None:
         """Reduce each eIoC to an rIoC for the dashboard (or suppress it)."""
@@ -611,8 +626,9 @@ class ContextAwareOSINTPlatform:
 
     def _rollup(self, cycle: _Cycle) -> None:
         """Bring the materialized dashboard and report views current off the
-        change feed (one empty ``changes_since`` query on a quiet cycle)."""
-        cycle.report.deltas_consumed = self.rollups.refresh()
+        change feed (one empty ``changes_since`` query on a quiet cycle);
+        events this cycle wrote are taken from memory, not decoded."""
+        cycle.report.deltas_consumed = self.rollups.refresh(cycle.written)
         if cycle.report.compacted:
             # Compaction cadence doubles as the checkpoint cadence: persist
             # rollup state while the store is already paying a write burst.

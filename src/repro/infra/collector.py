@@ -13,7 +13,7 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..clock import Clock, SimulatedClock
+from ..clock import Clock, SimulatedClock, ensure_utc
 from ..ids import content_uuid
 from ..misp import Distribution, MispAttribute, MispEvent, MispInstance
 from .alarms import Alarm, AlarmManager
@@ -111,18 +111,20 @@ class InfrastructureDataCollector:
         attributes = self.collect_internal_iocs()
         if not attributes:
             return None
+        now = ensure_utc(self._clock.now())
         event = MispEvent(
             info="Infrastructure telemetry: internal indicators",
             org=self._misp.org,
             distribution=Distribution.ORGANISATION_ONLY,
-            timestamp=self._clock.now(),
+            timestamp=now,
         )
         for attribute in attributes:
             event.add_attribute(attribute)
         # Content-derived ids keep infrastructure events identical across
-        # runs, which the chaos-recovery parity checks rely on.
+        # runs, which the chaos-recovery parity checks rely on.  They key
+        # on the full clock reading (the event keeps whole seconds).
         event.uuid = content_uuid(
-            "infra-event", event.timestamp.isoformat(),
+            "infra-event", now.isoformat(),
             *sorted(f"{a.type}:{a.value}:{a.comment}" for a in attributes))
         for index, attribute in enumerate(attributes):
             attribute.uuid = content_uuid(

@@ -85,8 +85,14 @@ def _event_reference_attributes(event: MispEvent) -> List[ExternalReference]:
     return references
 
 
-def attribute_to_stix(attribute: MispAttribute, event: MispEvent) -> Optional[StixObject]:
-    """Convert one MISP attribute to its STIX 2.0 object, if representable."""
+def attribute_to_stix(attribute: MispAttribute, event: MispEvent,
+                      **properties: Any) -> Optional[StixObject]:
+    """Convert one MISP attribute to its STIX 2.0 object, if representable.
+
+    ``properties`` (``x_*`` customs, ``object_marking_refs``) are set on
+    the object as it is built, so a bundle export validates each object
+    once.
+    """
     created = format_timestamp(attribute.timestamp)
     labels = [tag.name for tag in attribute.tags] or ["malicious-activity"]
     if attribute.type == "vulnerability":
@@ -100,6 +106,7 @@ def attribute_to_stix(attribute: MispAttribute, event: MispEvent) -> Optional[St
             external_references=references,
             created=created,
             modified=created,
+            **properties,
         )
     object_path = _TYPE_TO_OBJECT_PATH.get(attribute.type)
     if object_path is None:
@@ -113,6 +120,7 @@ def attribute_to_stix(attribute: MispAttribute, event: MispEvent) -> Optional[St
         labels=labels,
         created=created,
         modified=created,
+        **properties,
     )
 
 
@@ -127,28 +135,24 @@ def to_stix2_bundle(event: MispEvent) -> Bundle:
     from ..stix.markings import TLP_MARKING_IDS, marking_ref_for
 
     bundle = Bundle(bundle_id=f"bundle--{event.uuid}")
-    customs: Dict[str, Any] = {
+    # Shared by every object of the bundle: the event context customs and
+    # the TLP marking.
+    properties: Dict[str, Any] = {
         "x_caop_event_uuid": event.uuid,
         "x_caop_event_info": event.info,
         "x_caop_tags": [tag.name for tag in event.tags],
     }
-    marking_refs: List[str] = []
     for tag in event.tags:
         if tag.name.startswith("tlp:"):
             level = tag.name[4:].lower()
             if level in TLP_MARKING_IDS:
-                marking_refs = [marking_ref_for(level)]
+                properties["object_marking_refs"] = [marking_ref_for(level)]
                 break
     for attribute in event.all_attributes():
-        obj = attribute_to_stix(attribute, event)
-        if obj is None:
-            continue
-        data = obj.to_dict()
-        data.update(customs)
-        data["x_caop_attribute_uuid"] = attribute.uuid
-        if marking_refs:
-            data["object_marking_refs"] = marking_refs
-        bundle.add(type(obj)(**data))
+        obj = attribute_to_stix(attribute, event, **properties,
+                                x_caop_attribute_uuid=attribute.uuid)
+        if obj is not None:
+            bundle.add(obj)
     # Knit the graph: every indicator in the event relates to the event's
     # vulnerability objects, so STIX consumers see one connected story
     # instead of loose objects.
@@ -158,20 +162,17 @@ def to_stix2_bundle(event: MispEvent) -> Bundle:
     indicators = bundle.by_type("indicator")
     for vulnerability in vulnerabilities:
         for indicator in indicators:
-            created = indicator["created"]
-            rel_data = {
-                "id": content_stix_id("relationship", indicator["id"],
-                                      vulnerability["id"]),
-                "relationship_type": "related-to",
-                "source_ref": indicator["id"],
-                "target_ref": vulnerability["id"],
-                "created": format_timestamp(created),
-                "modified": format_timestamp(created),
-                **customs,
-            }
-            if marking_refs:
-                rel_data["object_marking_refs"] = marking_refs
-            bundle.add(Relationship(**rel_data))
+            created = format_timestamp(indicator["created"])
+            bundle.add(Relationship(
+                id=content_stix_id("relationship", indicator["id"],
+                                   vulnerability["id"]),
+                relationship_type="related-to",
+                source_ref=indicator["id"],
+                target_ref=vulnerability["id"],
+                created=created,
+                modified=created,
+                **properties,
+            ))
     return bundle
 
 

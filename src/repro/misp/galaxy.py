@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..errors import ValidationError
+from ..nlp.lexicon import first_word, words_of
 from .model import MispEvent
 
 
@@ -117,11 +118,11 @@ class GalaxyMatcher:
 
     def __init__(self, galaxies: Iterable[Galaxy] = BUILTIN_GALAXIES) -> None:
         self._galaxies = list(galaxies)
-        self._names: List[Tuple[str, GalaxyCluster]] = []
+        self._names: List[Tuple[str, GalaxyCluster, Optional[str]]] = []
         for galaxy in self._galaxies:
             for cluster in galaxy.clusters:
                 for name in cluster.names():
-                    self._names.append((name, cluster))
+                    self._names.append((name, cluster, first_word(name)))
         # Longest names first so 'Lazarus Group' beats 'Lazarus'.
         self._names.sort(key=lambda pair: -len(pair[0]))
 
@@ -131,12 +132,18 @@ class GalaxyMatcher:
         return list(self._galaxies)
 
     def find_clusters(self, text: str) -> List[GalaxyCluster]:
-        """All distinct clusters mentioned in the text."""
+        """All distinct clusters mentioned in the text.
+
+        Names whose first word does not occur in the text are skipped
+        without a scan (see :func:`~repro.nlp.lexicon.first_word`).
+        """
         lowered = text.lower()
+        words = words_of(lowered)
         found: List[GalaxyCluster] = []
         seen: Set[str] = set()
-        for name, cluster in self._names:
-            if cluster.value in seen:
+        for name, cluster, first in self._names:
+            if cluster.value in seen or (
+                    first is not None and first not in words):
                 continue
             index = lowered.find(name)
             while index != -1:

@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..clock import PAPER_NOW, ensure_utc, format_timestamp, parse_timestamp
 from ..errors import ValidationError
-from ..ids import IdGenerator
+from ..ids import random_uuid
 
 
 class Distribution:
@@ -84,6 +84,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _whole_seconds(value: Optional[_dt.datetime]) -> _dt.datetime:
+    """An aware UTC instant cut to the whole second ``to_dict`` keeps.
+
+    Events and attributes hold exactly what the store will hold, so an
+    event handed down the pipeline in memory equals its stored form even
+    when the clock that stamped it is fractional (virtual retry backoff).
+    """
+    if value is None:
+        return PAPER_NOW
+    return ensure_utc(value).replace(microsecond=0)
+
+
 @dataclass
 class MispTag:
     """A tag in MISP's ``namespace:predicate="value"`` style (or plain)."""
@@ -127,11 +139,8 @@ class MispAttribute:
         if self.category is None:
             self.category = ATTRIBUTE_TYPES[self.type]
         if self.uuid is None:
-            self.uuid = IdGenerator().uuid()
-        if self.timestamp is None:
-            self.timestamp = PAPER_NOW
-        else:
-            self.timestamp = ensure_utc(self.timestamp)
+            self.uuid = random_uuid()
+        self.timestamp = _whole_seconds(self.timestamp)
 
     @property
     def correlatable(self) -> bool:
@@ -194,7 +203,7 @@ class MispObject:
     def __post_init__(self) -> None:
         _require(bool(self.name), "object name must not be empty")
         if self.uuid is None:
-            self.uuid = IdGenerator().uuid()
+            self.uuid = random_uuid()
 
     def add_attribute(self, attribute: MispAttribute, relation: str) -> None:
         """Append an attribute."""
@@ -259,11 +268,8 @@ class MispEvent:
             _require(self.sharing_group_id is not None,
                      "sharing-group distribution requires a sharing_group_id")
         if self.uuid is None:
-            self.uuid = IdGenerator().uuid()
-        if self.timestamp is None:
-            self.timestamp = PAPER_NOW
-        else:
-            self.timestamp = ensure_utc(self.timestamp)
+            self.uuid = random_uuid()
+        self.timestamp = _whole_seconds(self.timestamp)
         if self.date is None:
             self.date = self.timestamp.date()
         if self.orgc is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Set
 
 from ..errors import SharingError, ValidationError
-from ..ids import IdGenerator
+from ..ids import random_uuid
 
 
 @dataclass
@@ -30,7 +30,7 @@ class SharingGroup:
             raise ValidationError("sharing group needs at least one organisation")
         self.organisations = set(self.organisations)
         if self.uuid is None:
-            self.uuid = IdGenerator().uuid()
+            self.uuid = random_uuid()
 
     def add_organisation(self, org: str) -> None:
         """Add an organisation to the group."""

@@ -302,16 +302,25 @@ class MispStore:
             return None
         return self._decode(blob)
 
-    def get_events(self, uuids: Sequence[str]) -> Dict[str, Optional[MispEvent]]:
+    def get_events(self, uuids: Sequence[str],
+                   written: Optional[Mapping[str, MispEvent]] = None
+                   ) -> Dict[str, Optional[MispEvent]]:
         """Batch-fetch events with chunked ``IN (...)`` queries.
 
         Returns ``uuid -> event`` for every requested uuid, preserving the
         request order; uuids with no stored event map to ``None``.  N lookups
         cost ``ceil(N / chunk)`` round trips instead of N.
+
+        ``written`` maps uuids to events the caller still holds as this
+        store's last write of them; those are returned as they are, neither
+        read nor decoded.
         """
-        blobs = self.backend.get_event_blobs(uuids)
-        return {uuid: self._decode(blob) if blob is not None else None
-                for uuid, blob in blobs.items()}
+        written = written or {}
+        missing = [uuid for uuid in uuids if uuid not in written]
+        blobs = self.backend.get_event_blobs(missing) if missing else {}
+        decoded = {uuid: self._decode(blob)
+                   for uuid, blob in blobs.items() if blob is not None}
+        return {uuid: written.get(uuid, decoded.get(uuid)) for uuid in uuids}
 
     def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:
         """Which of the given event uuids carry a tag (one chunked query)."""

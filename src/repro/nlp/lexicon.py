@@ -9,7 +9,7 @@ type.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 #: category -> language -> keywords (lowercase; multi-word phrases allowed).
 THREAT_LEXICON: Mapping[str, Mapping[str, Tuple[str, ...]]] = {
@@ -103,23 +103,72 @@ def all_keywords(languages: Iterable[str] = SUPPORTED_LANGUAGES) -> Dict[str, st
     return mapping
 
 
+class _Separators(Dict[int, str]):
+    """``str.translate`` table: a space for every non-alphanumeric code
+    point, the character itself otherwise.  Entries are filled the first
+    time a code point is seen, so one table serves text in any script."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        self[code] = value = char if char.isalnum() else " "
+        return value
+
+
+_SEPARATORS = _Separators()
+
+
+def words_of(text: str) -> Set[str]:
+    """The distinct words of ``text``: its maximal runs of alphanumeric
+    characters (``str.isalnum``)."""
+    return set(text.translate(_SEPARATORS).split())
+
+
+def first_word(phrase: str) -> Optional[str]:
+    """The word a phrase starts with; None when it starts with a
+    non-alphanumeric character.
+
+    A word-bounded match of the phrase always starts with a whole word of
+    the text equal to this one, so a phrase whose first word is not among
+    the text's words (:func:`words_of`) cannot match it.
+    """
+    if not phrase[:1].isalnum():
+        return None
+    return phrase.translate(_SEPARATORS).split()[0]
+
+
+#: keyword -> :func:`first_word`, for every keyword of the lexicon (computed
+#: once at import, not per tagger).
+_FIRST_WORDS: Mapping[str, Optional[str]] = {
+    keyword: first_word(keyword)
+    for per_language in THREAT_LEXICON.values()
+    for keywords in per_language.values() for keyword in keywords}
+
+
 class ThreatTagger:
     """Tags free text with threat categories by phrase matching.
 
     Longer phrases win over their substrings ("denial of service" beats
-    "service") because matching scans phrases longest-first.
+    "service") because matching scans phrases longest-first.  The text is
+    split into words once; only phrases whose first word occurs in it are
+    scanned.
     """
 
     def __init__(self, languages: Iterable[str] = SUPPORTED_LANGUAGES) -> None:
         self._keyword_to_category = all_keywords(languages)
-        self._ordered = sorted(self._keyword_to_category, key=len, reverse=True)
+        self._ordered = [
+            (keyword, _FIRST_WORDS[keyword])
+            for keyword in sorted(self._keyword_to_category, key=len,
+                                  reverse=True)]
 
     def tag(self, text: str) -> Dict[str, List[str]]:
         """Return category -> matched keywords for ``text``."""
         lowered = text.lower()
+        words = words_of(lowered)
         consumed: Set[Tuple[int, int]] = set()
         hits: Dict[str, List[str]] = {}
-        for keyword in self._ordered:
+        for keyword, first in self._ordered:
+            if first is not None and first not in words:
+                continue
             start = 0
             while True:
                 index = lowered.find(keyword, start)

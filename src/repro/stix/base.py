@@ -136,8 +136,8 @@ class StixObject(Mapping[str, Any]):
             supplied["type"] = cls.object_type
         if "id" not in supplied:
             # Content-free default id; callers that care pass one explicitly.
-            from ..ids import IdGenerator
-            supplied["id"] = IdGenerator().stix_id(cls.object_type)
+            from ..ids import random_uuid
+            supplied["id"] = f"{cls.object_type}--{random_uuid()}"
         now = supplied.pop("_now", None) or PAPER_NOW
         supplied.setdefault("created", now)
         supplied.setdefault("modified", supplied["created"])

@@ -61,7 +61,7 @@ class TestStageIsolation:
     def test_enrich_failure_degrades_cycle_but_others_run(self, monkeypatch):
         platform = _platform()
 
-        def boom():
+        def boom(*_args):
             raise SharingError("enrich boom")
 
         monkeypatch.setattr(platform.heuristics, "process_pending", boom)
@@ -79,7 +79,7 @@ class TestStageIsolation:
         platform = _platform()
         monkeypatch.setattr(
             platform.heuristics, "process_pending",
-            lambda: (_ for _ in ()).throw(SharingError("down")))
+            lambda *_args: (_ for _ in ()).throw(SharingError("down")))
         platform.run_cycle()
         assert platform.health().status_of("stage:enrich") == "degraded"
         platform.run_cycle()
@@ -90,7 +90,7 @@ class TestStageIsolation:
         platform = _platform()
         monkeypatch.setattr(
             platform.heuristics, "process_pending",
-            lambda: (_ for _ in ()).throw(RuntimeError("a bug, not a fault")))
+            lambda *_args: (_ for _ in ()).throw(RuntimeError("a bug, not a fault")))
         with pytest.raises(RuntimeError):
             platform.run_cycle()
 

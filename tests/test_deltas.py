@@ -195,6 +195,23 @@ class TestLoadDeltaEvents:
         assert [event.uuid for event in events] == [kept.uuid]
         assert deleted == [racer.uuid]
 
+    def test_written_events_are_taken_from_memory(self):
+        store = MispStore(backend=InMemoryBackend())
+        held, other, gone = (make_event(info="held"), make_event(info="other"),
+                             make_event(info="gone"))
+        store.save_events([held, other, gone])
+        store.delete_event(gone.uuid)
+        batch = collapse_changes(store.changes_since(0))
+        before = store.payloads_deserialized
+        events, deleted = load_delta_events(
+            store, batch, written={held.uuid: held, gone.uuid: gone})
+        # Feed order is kept; only the uuid not handed down is decoded, and
+        # a delete in the window wins over the held copy.
+        assert [event.uuid for event in events] == [held.uuid, other.uuid]
+        assert events[0] is held
+        assert deleted == [gone.uuid]
+        assert store.payloads_deserialized == before + 1
+
 
 class TestDeltaCursor:
     def test_read_does_not_advance(self):

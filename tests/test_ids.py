@@ -2,7 +2,16 @@
 
 import uuid
 
-from repro.ids import IdGenerator, content_stix_id, content_uuid
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ids import (
+    CONTENT_NAMESPACE,
+    IdGenerator,
+    content_stix_id,
+    content_uuid,
+    random_uuid,
+)
 
 
 def test_seeded_generator_is_deterministic():
@@ -38,3 +47,16 @@ def test_content_uuid_separator_prevents_collisions():
 def test_content_stix_id_incorporates_type():
     assert content_stix_id("indicator", "x") != content_stix_id("malware", "x")
     assert content_stix_id("indicator", "x").startswith("indicator--")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text(), max_size=5))
+def test_content_uuid_equals_uuid5(parts):
+    assert content_uuid(*parts) == str(
+        uuid.uuid5(CONTENT_NAMESPACE, "\x1f".join(parts)))
+
+
+def test_random_uuid_is_fresh_v4():
+    ids = {random_uuid() for _ in range(100)}
+    assert len(ids) == 100
+    assert all(uuid.UUID(value).version == 4 for value in ids)

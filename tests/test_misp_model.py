@@ -1,8 +1,11 @@
 """Tests for the MISP data model."""
 
 import datetime as dt
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.misp import (
@@ -147,3 +150,85 @@ class TestEvent:
     def test_tag_model_requires_name(self):
         with pytest.raises(ValidationError):
             MispTag(name="")
+
+
+# -- whole-second timestamps ----------------------------------------------------
+
+_ZONES = [None, dt.timezone.utc, dt.timezone(dt.timedelta(hours=5, minutes=30)),
+          dt.timezone(-dt.timedelta(hours=3))]
+_TIMESTAMPS = st.builds(
+    lambda moment, zone: moment.replace(tzinfo=zone),
+    st.datetimes(min_value=dt.datetime(1950, 1, 1),
+                 max_value=dt.datetime(2200, 1, 1)),
+    st.sampled_from(_ZONES))
+_TEXT = st.text(max_size=12)
+_NAME = st.text(min_size=1, max_size=12)
+_TAGS = st.lists(st.builds(MispTag, name=_NAME, colour=_TEXT), max_size=3)
+
+
+@st.composite
+def _attributes(draw):
+    return MispAttribute(
+        type=draw(st.sampled_from(sorted(ATTRIBUTE_TYPES))),
+        value=draw(_NAME),
+        category=draw(st.one_of(st.none(), _TEXT)),
+        uuid=draw(st.one_of(st.none(), _NAME)),
+        to_ids=draw(st.booleans()),
+        comment=draw(_TEXT),
+        timestamp=draw(st.one_of(st.none(), _TIMESTAMPS)),
+        distribution=draw(st.sampled_from(Distribution.ALL)),
+        tags=draw(_TAGS),
+        # "" serializes as absent, which revives as None.
+        object_relation=draw(st.one_of(st.none(), _NAME)),
+    )
+
+
+@st.composite
+def _events(draw):
+    distribution = draw(st.sampled_from(Distribution.ALL))
+    return MispEvent(
+        info=draw(_NAME),
+        uuid=draw(st.one_of(st.none(), _NAME)),
+        date=draw(st.one_of(st.none(), st.dates())),
+        org=draw(_TEXT),
+        orgc=draw(st.one_of(st.none(), _TEXT)),
+        threat_level_id=draw(st.sampled_from(ThreatLevel.ALL)),
+        analysis=draw(st.sampled_from(Analysis.ALL)),
+        distribution=distribution,
+        published=draw(st.booleans()),
+        timestamp=draw(st.one_of(st.none(), _TIMESTAMPS)),
+        attributes=draw(st.lists(_attributes(), max_size=4)),
+        objects=draw(st.lists(st.builds(
+            MispObject, name=_NAME, uuid=st.one_of(st.none(), _NAME),
+            description=_TEXT, attributes=st.lists(_attributes(), max_size=3)),
+            max_size=2)),
+        tags=draw(_TAGS),
+        sharing_group_id=draw(_NAME) if distribution == Distribution.SHARING_GROUP
+        else draw(st.one_of(st.none(), _NAME)),
+    )
+
+
+class TestWholeSeconds:
+    def test_fractional_instants_cut_to_the_stored_second(self):
+        moment = dt.datetime(2020, 5, 1, 12, 0, 7, 900_000,
+                             tzinfo=dt.timezone.utc)
+        event = MispEvent(info="x", timestamp=moment)
+        attribute = MispAttribute(type="domain", value="a.example",
+                                  timestamp=moment)
+        assert event.timestamp == moment.replace(microsecond=0)
+        assert attribute.timestamp == moment.replace(microsecond=0)
+        assert event.to_dict()["Event"]["timestamp"] == \
+            str(int(moment.timestamp()))
+
+    def test_fractional_instants_before_1970_cut_down(self):
+        moment = dt.datetime(1969, 12, 31, 23, 59, 59, 500_000,
+                             tzinfo=dt.timezone.utc)
+        event = MispEvent(info="x", timestamp=moment)
+        assert event.timestamp == moment.replace(microsecond=0)
+        assert event.date == dt.date(1969, 12, 31)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_events())
+    def test_json_round_trip_is_identity(self, event):
+        revived = MispEvent.from_dict(json.loads(json.dumps(event.to_dict())))
+        assert revived == event

@@ -136,6 +136,32 @@ class TestContextCache:
         cache.correlations_for(a.uuid)
         assert cache.misses == baseline + 1
 
+    def test_batch_invalidate_equals_one_at_a_time(self, misp):
+        uuids = build_workload(misp)
+        batch = EnrichmentContextCache(misp.store)
+        serial = EnrichmentContextCache(misp.store)
+        for cache in (batch, serial):
+            cache.prefetch(uuids)
+        touched = uuids[1::4]
+        batch.invalidate(*touched)
+        for uuid in touched:
+            serial.invalidate(uuid)
+        for field in ("_events", "_correlations", "_infra_flags"):
+            assert getattr(batch, field).keys() == \
+                getattr(serial, field).keys()
+        assert set(touched).isdisjoint(batch._events)
+
+    def test_prefetch_takes_written_events_as_they_are(self, misp):
+        uuids = build_workload(misp)
+        held = {uuid: misp.store.get_event(uuid) for uuid in uuids[:5]}
+        cache = EnrichmentContextCache(misp.store)
+        before = misp.store.payloads_deserialized
+        cache.prefetch(uuids, written=held)
+        assert misp.store.payloads_deserialized == before + len(uuids) - 5
+        for uuid, event in held.items():
+            assert cache.get_event(uuid) is event
+        assert cache.misses == 0
+
     def test_reenrichment_sees_fresh_correlations(self, misp, inventory, clock):
         # Enrich, then land an infrastructure sighting of the same value,
         # strip the enrichment, and enrich again: the second pass must see
